@@ -1,6 +1,6 @@
 """Batch command-line front end.
 
-    ionctrl run <scenario.yaml> [--out DIR] [--seed N] [--threads K]
+    ionctrl run <scenario.yaml> [--out DIR] [--seed N]
     ionctrl validate <scenario.yaml>
 
 Each run dispatches exactly one task and writes diff-able CSV (or YAML)
@@ -26,7 +26,7 @@ from .dynamics import law_eberly_sequence, leakage, propagate, subspace_populati
 from .fock import BasisState, SPIN_DOWN
 from .graph import build_graph, closed_subspace
 from .laguerre import laguerre_curve, laguerre_zeros
-from .liealg import controllability_verdict, dynamical_lie_algebra
+from .liealg import SweepTooLargeError, controllability_verdict, dynamical_lie_algebra
 from .model import build_control, build_drift
 from .optimize import Objective, SearchConfig, optimize, spin_fidelity, state_fidelity
 from .scenario import (
@@ -142,9 +142,12 @@ def run_liealg(scenario: Scenario) -> list[Path]:
         space_dim = len(sub)
     else:
         space_dim = model.basis.dimension
-    result = dynamical_lie_algebra(
-        drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim")
-    )
+    try:
+        result = dynamical_lie_algebra(
+            drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim")
+        )
+    except SweepTooLargeError as exc:
+        raise ScenarioError(f"task.max_dim: {exc}") from exc
     verdict = controllability_verdict(result, space_dim)
     prov = _provenance(
         scenario,
@@ -350,13 +353,6 @@ def main(argv=None) -> int:
     run_p.add_argument("scenario", help="scenario YAML file")
     run_p.add_argument("--out", help="directory overriding the output prefix location")
     run_p.add_argument("--seed", type=int, help="override the scenario seed")
-    run_p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker cap (results are independent of parallelism; current "
-        "implementation evaluates serially)",
-    )
 
     val_p = sub.add_parser("validate", help="parse and validate a scenario file")
     val_p.add_argument("scenario", help="scenario YAML file")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import BasisState, ConvergenceError, SPIN_DOWN, SPIN_UP, displacement_element
-from .model import FieldColor, SystemModel, control_raising, coupling_strength
+from .model import PHONON_SHIFT, FieldColor, SystemModel, control_raising, coupling_strength
 
 __all__ = [
     "Segment",
@@ -30,8 +30,6 @@ __all__ = [
     "subspace_population",
     "leakage",
 ]
-
-_PHONON_SHIFT = {"carrier": 0, "blue": +1, "red": -1}
 
 
 @dataclass(frozen=True)
@@ -137,8 +135,8 @@ def _manifold_terms(model: SystemModel, color: FieldColor):
     basis = model.basis
     n_levels = basis.fock_cutoff
     eta = model.effective_eta(color.target_ion)
-    resonant_shift = _PHONON_SHIFT[color.sideband]
-    pseudo_sideband = {0: "carrier", 1: "blue", -1: "red"}
+    resonant_shift = PHONON_SHIFT[color.sideband]
+    pseudo_sideband = {dn: sideband for sideband, dn in PHONON_SHIFT.items()}
     dns = (-1, 0, 1) if model.ldl else range(-(n_levels - 1), n_levels)
     for dn in dns:
         k = np.zeros((basis.dimension, basis.dimension), dtype=complex)

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FieldColor, SIDEBANDS, SystemModel, coupling_strength
+from .model import PHONON_SHIFT, FieldColor, SIDEBANDS, SystemModel, coupling_strength
 
 __all__ = [
     "LieAlgebraResult",
+    "SweepTooLargeError",
     "dynamical_lie_algebra",
     "controllability_verdict",
     "TransitionCoupling",
@@ -25,7 +26,12 @@ __all__ = [
     "degeneracy_report",
 ]
 
-_SIDEBAND_OFFSET = {"carrier": 0.0, "blue": +1.0, "red": -1.0}
+# basis buffers a sweep may allocate (a real and a complex (cap, d^2) array)
+_MAX_BUFFER_BYTES = 1 << 30
+
+
+class SweepTooLargeError(ValueError):
+    """The sweep's basis buffers would exceed the module's memory limit."""
 
 
 @dataclass(frozen=True)
@@ -47,6 +53,40 @@ def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
+def _real_coordinates(d: int):
+    """(pack, unpack) for r(X) = [sqrt2*Re X_jk, sqrt2*Im X_jk for j<k, Im X_jj].
+
+    For skew-Hermitian X and Y, r(X) . r(Y) = Re tr(X^H Y).  `pack` maps
+    a stack of d x d matrices to the (n, d^2) coordinates of their
+    skew-Hermitian parts; `unpack(v, out)` writes the skew-Hermitian
+    matrix with coordinates v into the d x d array `out`.
+    """
+    rows, cols = np.triu_indices(d, 1)
+    upper, lower = rows * d + cols, cols * d + rows
+    diag = np.arange(d) * (d + 1)
+    n_off = upper.size
+    half = np.sqrt(0.5)
+    # r of the skew part, read off the interleaved (re, im) float view f
+    # of X as f[a] * wa + f[b] * wb
+    a = np.concatenate([2 * upper, 2 * upper + 1, 2 * diag + 1])
+    b = np.concatenate([2 * lower, 2 * lower + 1, 2 * diag + 1])
+    wa = np.concatenate([np.full(2 * n_off, half), np.full(d, 0.5)])
+    wb = np.concatenate([np.full(n_off, -half), np.full(n_off, half), np.full(d, 0.5)])
+
+    def pack(mats: np.ndarray) -> np.ndarray:
+        f = mats.reshape(-1, d * d).view(float)
+        return f[:, a] * wa + f[:, b] * wb
+
+    def unpack(v: np.ndarray, out: np.ndarray) -> None:
+        off = (v[:n_off] + 1j * v[n_off : 2 * n_off]) * half
+        x = out.reshape(d * d)
+        x[upper] = off
+        x[lower] = -off.conj()
+        x[diag] = 1j * v[2 * n_off :]
+
+    return pack, unpack
+
+
 def dynamical_lie_algebra(
     drift: np.ndarray,
     controls,
@@ -62,6 +102,15 @@ def dynamical_lie_algebra(
     dimension of all skew-Hermitian matrices, is genuine saturation (no
     further direction exists); stopping at a smaller cap is reported as
     unsaturated growth.
+
+    Projections run on d^2 real coordinates per element,
+    r(X) = [sqrt2*Re X_jk, sqrt2*Im X_jk for j<k, Im X_jj], which carry
+    the trace inner product Re tr(X^H Y) as a dot product, so `tol`
+    bounds the same Frobenius norm; the complex matrices are kept only
+    to form commutators and to return the basis.  The two buffers take
+    24 * cap * d^2 bytes for cap = min(max_dim, d^2) elements; a sweep
+    that would need more than 1 GiB raises SweepTooLargeError (a
+    ValueError) before allocating; max_dim bounds it.
     """
     mats = [_check_hermitian(drift, "drift")]
     mats += [_check_hermitian(c, f"control {i}") for i, c in enumerate(controls)]
@@ -72,6 +121,13 @@ def dynamical_lie_algebra(
     cap = full if max_dim is None else min(int(max_dim), full)
     if cap < 1:
         raise ValueError("max_dim must be positive")
+    needed = cap * full * (np.dtype(float).itemsize + np.dtype(complex).itemsize)
+    if needed > _MAX_BUFFER_BYTES:
+        raise SweepTooLargeError(
+            f"a sweep over {cap} elements of dimension {d} needs about "
+            f"{needed / 2**20:.0f} MiB of basis buffers, above the "
+            f"{_MAX_BUFFER_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
+        )
     seeds = [1j * m for m in mats]
     scale = max(np.linalg.norm(s) for s in seeds)
     if scale == 0.0:
@@ -81,31 +137,31 @@ def dynamical_lie_algebra(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    flat = np.zeros((cap, full), dtype=complex)
+    pack, unpack = _real_coordinates(d)
+    coords = np.zeros((cap, full))
     stacked = np.zeros((cap, d, d), dtype=complex)
     count = 0
 
-    def try_add(mat: np.ndarray) -> bool:
+    def try_add(v: np.ndarray) -> bool:
         nonlocal count
-        x = (mat - mat.conj().T) / 2  # keep roundoff from leaking a Hermitian part
-        v = x.ravel()
         for _ in range(2):
             if count:
-                coeff = (flat[:count].conj() @ v).real
-                v = v - coeff @ flat[:count]
+                v = v - (coords[:count] @ v) @ coords[:count]
         norm = np.linalg.norm(v)
         if norm <= tol:
             return False
-        flat[count] = v / norm
-        stacked[count] = flat[count].reshape(d, d)
+        coords[count] = v / norm
+        unpack(coords[count], stacked[count])
         count += 1
         return True
 
     history = []
+    # pack keeps only the skew-Hermitian part, so roundoff in the
+    # generators never leaks a Hermitian part into the basis
     for s in seeds:
         if count >= cap:
             break
-        try_add(s)
+        try_add(pack(s)[0])
     history.append((0, count, count))
 
     generations = 0
@@ -117,17 +173,16 @@ def dynamical_lie_algebra(
         for i in range(gen_start, prev_count):
             if count >= cap:
                 break
-            x = stacked[i]
-            partners = stacked[:i]
-            if not len(partners):
+            if not i:
                 continue
-            comms = partners @ x - x @ partners
+            # elements are exactly skew-Hermitian, so x P = (P x)^H and the
+            # commutator P x - x P is twice the skew part of P x
+            comms = 2 * pack(stacked[:i].reshape(i * d, d) @ stacked[i])
             # single-pass batch filter; try_add re-projects each survivor
             # with the re-orthogonalization pass before inserting it
-            c_flat = comms.reshape(i, full)
-            coeff = (c_flat @ flat[:count].conj().T).real
-            c_flat = c_flat - coeff @ flat[:count]
-            norms = np.linalg.norm(c_flat, axis=1)
+            basis = coords[:count]
+            residual = comms - (comms @ basis.T) @ basis
+            norms = np.linalg.norm(residual, axis=1)
             for j in np.nonzero(norms > tol)[0]:
                 if count >= cap:
                     break
@@ -195,16 +250,16 @@ def degeneracy_report(
     report = []
     for ci, color in enumerate(colors):
         model.check_color(color)
-        freq = model.ions[color.target_ion].qubit_splitting + _SIDEBAND_OFFSET[color.sideband] * omega_m
+        freq = model.ions[color.target_ion].qubit_splitting + PHONON_SHIFT[color.sideband] * omega_m
         transitions = []
         for ion_index, ion in enumerate(model.ions):
             if model.ions[color.target_ion].individually_addressable and ion_index != color.target_ion:
                 continue
             for sideband in SIDEBANDS:
-                if abs(ion.qubit_splitting + _SIDEBAND_OFFSET[sideband] * omega_m - freq) > 1e-9:
+                shift = PHONON_SHIFT[sideband]
+                if abs(ion.qubit_splitting + shift * omega_m - freq) > 1e-9:
                     continue
                 probe = FieldColor(target_ion=ion_index, sideband=sideband)
-                shift = {"carrier": 0, "blue": 1, "red": -1}[sideband]
                 for n in range(model.basis.fock_cutoff):
                     if not 0 <= n + shift < model.basis.fock_cutoff:
                         continue

@@ -18,6 +18,7 @@ from .fock import BasisState, SPIN_DOWN, SPIN_UP, TruncatedBasis, displacement_e
 
 __all__ = [
     "SIDEBANDS",
+    "PHONON_SHIFT",
     "TrapConfig",
     "IonConfig",
     "FieldColor",
@@ -32,7 +33,7 @@ __all__ = [
 SIDEBANDS = ("carrier", "blue", "red")
 
 # phonon change of the resonant manifold for each sideband
-_PHONON_SHIFT = {"carrier": 0, "blue": +1, "red": -1}
+PHONON_SHIFT = {"carrier": 0, "blue": +1, "red": -1}
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,7 @@ def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
     """
     model.check_color(color)
     eta = model.effective_eta(color.target_ion)
-    shift = _PHONON_SHIFT[color.sideband]
+    shift = PHONON_SHIFT[color.sideband]
     if n + shift < 0:
         return 0.0
     if model.ldl:
@@ -148,7 +149,7 @@ def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
 @lru_cache(maxsize=128)
 def _raising_cached(model: SystemModel, target_ion: int, sideband: str) -> np.ndarray:
     basis = model.basis
-    shift = _PHONON_SHIFT[sideband]
+    shift = PHONON_SHIFT[sideband]
     probe = FieldColor(target_ion=target_ion, sideband=sideband)
     k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     for state in basis.states():

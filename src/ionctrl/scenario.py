@@ -8,6 +8,7 @@ emit(parse(emit(s))) == emit(s) byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,6 +58,19 @@ def _fail(field: str, message: str):
     raise ScenarioError(f"{field}: {message}")
 
 
+def _finite(value, field: str) -> float:
+    """A finite real number as float; bools, non-numbers, NaN and inf fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        _fail(field, f"expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        _fail(field, f"expected a finite number, got {value!r}")
+    return number
+
+
 def _get(mapping, field, kind, context, default=None, required=False):
     if not isinstance(mapping, dict):
         _fail(context, "expected a mapping")
@@ -66,9 +80,7 @@ def _get(mapping, field, kind, context, default=None, required=False):
         return default
     value = mapping[field]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(f"{context}.{field}", f"expected a number, got {value!r}")
-        return float(value)
+        return _finite(value, f"{context}.{field}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             _fail(f"{context}.{field}", f"expected an integer, got {value!r}")
@@ -115,7 +127,8 @@ def parse_state_spec(entries, basis: TruncatedBasis, context: str) -> np.ndarray
         if isinstance(n, bool) or not isinstance(n, int) or not 0 <= n < basis.fock_cutoff:
             _fail(where, f"phonon number must be an integer in [0, {basis.fock_cutoff})")
         spins = tuple(0 if c == "d" else 1 for c in spins_str)
-        vec[basis.index(BasisState(spins=spins, phonon=n))] += complex(float(re_amp), float(im_amp))
+        amp = complex(_finite(re_amp, where), _finite(im_amp, where))
+        vec[basis.index(BasisState(spins=spins, phonon=n))] += amp
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(context, f"state is not normalized (norm {norm:.9f})")
@@ -139,7 +152,7 @@ def parse_spin_spec(entries, ion_count: int, context: str) -> np.ndarray:
         code = 0
         for c in spins_str:
             code = 2 * code + (0 if c == "d" else 1)
-        vec[code] += complex(float(re_amp), float(im_amp))
+        vec[code] += complex(_finite(re_amp, where), _finite(im_amp, where))
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(context, f"spin state is not normalized (norm {norm:.9f})")
@@ -190,6 +203,7 @@ def _parse_model(data) -> SystemModel:
     weights_raw = data.get("mode_weights", [1.0] * len(ions))
     if not isinstance(weights_raw, list) or len(weights_raw) != len(ions):
         _fail("model.mode_weights", f"expected a list of {len(ions)} numbers")
+    weights = tuple(_finite(w, f"model.mode_weights[{i}]") for i, w in enumerate(weights_raw))
     cutoff = _get(data, "cutoff", int, "model", required=True)
     if cutoff < 1:
         _fail("model.cutoff", "must be a positive integer")
@@ -199,7 +213,7 @@ def _parse_model(data) -> SystemModel:
             trap=TrapConfig(
                 mode_freq=mode_freq,
                 lamb_dicke=lamb_dicke,
-                mode_weights=tuple(float(w) for w in weights_raw),
+                mode_weights=weights,
             ),
             ions=tuple(ions),
             basis=TruncatedBasis(ion_count=len(ions), fock_cutoff=cutoff),
@@ -328,8 +342,12 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
         params["subspace"] = subspace
         if "tol" in data:
             params["tol"] = _get(data, "tol", float, ctx)
+            if params["tol"] <= 0:
+                _fail("task.tol", "must be positive")
         if "max_dim" in data:
             params["max_dim"] = _get(data, "max_dim", int, ctx)
+            if params["max_dim"] < 1:
+                _fail("task.max_dim", "must be >= 1")
     elif kind == "evolve":
         params["initial"] = data.get("initial", _default_ground_state(scenario_model))
         parse_state_spec(params["initial"], scenario_model.basis, "task.initial")

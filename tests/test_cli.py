@@ -187,6 +187,92 @@ output: {tmp_path}/lie
     assert "# dimension=196" in text
 
 
+def test_oversized_liealg_sweep_exits_2_naming_max_dim(tmp_path, capsys):
+    scn = write(
+        tmp_path,
+        "lie_full.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.5276681217111285, cutoff: 50}}
+colors:
+  - {{ion: 0, sideband: carrier}}
+  - {{ion: 0, sideband: blue}}
+task: {{kind: liealg, subspace: full}}
+output: {tmp_path}/lie_full
+""",
+    )
+    assert main(["run", str(scn)]) == 2
+    assert "task.max_dim" in capsys.readouterr().err
+    assert not (tmp_path / "lie_full_liealg.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+schedule: {segments: [{colors: [0], duration: .nan}]}
+task: {kind: evolve}
+""",
+            "schedule.segments[0].duration",
+        ),
+        (
+            """
+model: {ions: 1, lamb_dicke: .inf, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: graph}
+""",
+            "model.lamb_dicke",
+        ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, mode_weights: [null], cutoff: 4}
+task: {kind: graph}
+""",
+            "model.mode_weights[0]",
+        ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: laweberly, target: [["d", 0, 1.0, null]]}
+""",
+            "task.target[0]",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, target_spin: [["dd", 1.0, 0.0], ["uu", .nan, 0.0]]}
+""",
+            "task.target_spin[1]",
+        ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: liealg, subspace: full, max_dim: 0}
+""",
+            "task.max_dim",
+        ),
+    ],
+    ids=[
+        "nan_duration",
+        "inf_lamb_dicke",
+        "null_mode_weight",
+        "null_amplitude",
+        "nan_spin_amplitude",
+        "zero_max_dim",
+    ],
+)
+def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
+    scn = write(tmp_path, "bad.yaml", doc)
+    assert main(["validate", str(scn)]) == 2
+    assert field in capsys.readouterr().err
+    assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_laweberly_task_emits_replayable_schedule(tmp_path):
     scn = write(
         tmp_path,

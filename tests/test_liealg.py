@@ -16,6 +16,7 @@ from ionctrl import (
     dynamical_lie_algebra,
     laguerre_zeros,
 )
+from ionctrl.liealg import _real_coordinates
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -35,6 +36,52 @@ def truncated_subsystem():
     drift = build_drift(model)[np.ix_(idx, idx)]
     controls = [build_control(model, c)[np.ix_(idx, idx)] for c in colors]
     return drift, controls, len(idx)
+
+
+def ldl_ladder(cutoff):
+    model = SystemModel(
+        trap=TrapConfig(1.0, 0.1),
+        ions=(IonConfig(),),
+        basis=TruncatedBasis(1, cutoff),
+        ldl=True,
+    )
+    colors = [FieldColor(0, "carrier"), FieldColor(0, "blue")]
+    return model, build_drift(model), [build_control(model, c) for c in colors]
+
+
+# per-generation (generation, new_directions, cumulative) rows of the sweep
+FULL_HISTORY = {
+    "closed_14": (
+        lambda: truncated_subsystem()[:2],
+        None,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 24, 34), (4, 150, 184), (5, 12, 196)),
+        True,
+    ),
+    "ldl_6": (
+        lambda: ldl_ladder(6)[1:],
+        None,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 23, 33), (4, 111, 144)),
+        True,
+    ),
+    "ldl_8": (
+        lambda: ldl_ladder(8)[1:],
+        None,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 23, 33), (4, 131, 164), (5, 92, 256)),
+        True,
+    ),
+    "ldl_10": (
+        lambda: ldl_ladder(10)[1:],
+        None,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 23, 33), (4, 131, 164), (5, 236, 400)),
+        True,
+    ),
+    "closed_14_max_dim_50": (
+        lambda: truncated_subsystem()[:2],
+        50,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 24, 34), (4, 16, 50)),
+        False,
+    ),
+}
 
 
 class TestDynamicalLieAlgebra:
@@ -71,6 +118,44 @@ class TestDynamicalLieAlgebra:
         assert result.history[0] == (0, 2, 2)
         assert result.history[-1][2] == result.dimension
 
+    def test_real_coordinates_carry_trace_inner_product(self):
+        rng = np.random.default_rng(4)
+        d = 5
+        pack, unpack = _real_coordinates(d)
+        raw = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        skew = (raw - raw.conj().transpose(0, 2, 1)) / 2
+        coords = pack(raw)
+        assert coords.shape == (3, d * d)
+        np.testing.assert_allclose(coords, pack(skew), atol=1e-15)
+        gram = np.einsum("aij,bij->ab", skew.conj(), skew).real
+        np.testing.assert_allclose(coords @ coords.T, gram, atol=1e-12)
+        out = np.empty((d, d), dtype=complex)
+        unpack(coords[1], out)
+        np.testing.assert_allclose(out, skew[1], atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(FULL_HISTORY))
+    def test_full_history_and_orthonormal_basis(self, name):
+        system, max_dim, history, saturated = FULL_HISTORY[name]
+        drift, controls = system()
+        result = dynamical_lie_algebra(drift, controls, max_dim=max_dim)
+        assert result.history == history
+        assert result.dimension == history[-1][2]
+        assert result.generations == history[-1][0]
+        assert result.saturated is saturated
+        flat = result.basis.reshape(result.dimension, -1)
+        assert np.max(np.abs(result.basis + result.basis.conj().transpose(0, 2, 1))) < 1e-12
+        gram = flat.conj() @ flat.T
+        assert np.max(np.abs(gram - np.eye(result.dimension))) < 1e-10
+
+    def test_oversized_sweep_refused_before_allocating(self):
+        drift = np.diag(np.arange(100.0)).astype(complex)
+        control = np.zeros((100, 100), dtype=complex)
+        control[0, 1] = control[1, 0] = 1.0
+        with pytest.raises(ValueError, match="max_dim"):
+            dynamical_lie_algebra(drift, [control])
+        capped = dynamical_lie_algebra(drift, [control], max_dim=5)
+        assert capped.dimension <= 5
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             dynamical_lie_algebra(SZ + 1j * SX, [SX])
@@ -90,17 +175,7 @@ class TestDynamicalLieAlgebra:
     def test_ldl_dimension_grows_with_cutoff(self):
         dims = []
         for cutoff in (3, 4, 5):
-            model = SystemModel(
-                trap=TrapConfig(1.0, 0.1),
-                ions=(IonConfig(),),
-                basis=TruncatedBasis(1, cutoff),
-                ldl=True,
-            )
-            drift = build_drift(model)
-            controls = [
-                build_control(model, FieldColor(0, "carrier")),
-                build_control(model, FieldColor(0, "blue")),
-            ]
+            model, drift, controls = ldl_ladder(cutoff)
             result = dynamical_lie_algebra(drift, controls)
             space = model.basis.dimension
             dims.append(result.dimension)
