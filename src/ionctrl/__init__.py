@@ -13,11 +13,6 @@ from .fock import (
     TruncatedBasis,
     displacement_element,
     displacement_exact,
-    is_hermitian,
-    is_unitary,
-    ladder_operators,
-    number_operator,
-    tensor,
 )
 from .model import (
     FieldColor,

@@ -15,7 +15,7 @@ import argparse
 import datetime
 import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +49,6 @@ def _provenance(scenario: Scenario, **extras) -> dict:
     }
     base.update(extras)
     return base
-
-
-def _ground_state(scenario: Scenario) -> np.ndarray:
-    basis = scenario.model.basis
-    return basis.vector(BasisState(spins=(SPIN_DOWN,) * basis.ion_count, phonon=0))
 
 
 def run_zeros(scenario: Scenario) -> list[Path]:
@@ -216,7 +211,7 @@ def run_laweberly(scenario: Scenario) -> list[Path]:
     model = scenario.model
     target = parse_state_spec(scenario.task_params["target"], model.basis, "task.target")
     schedule = law_eberly_sequence(model, target)
-    replay = propagate(model, schedule, _ground_state(scenario))
+    replay = propagate(model, schedule, model.basis.vector(BasisState((SPIN_DOWN,), 0)))
     fidelity = float(abs(np.vdot(target, replay.final)) ** 2)
     rows = [
         (
@@ -257,21 +252,11 @@ def run_optimize(scenario: Scenario) -> list[Path]:
             initial=initial,
             purity_floor=p["purity_floor"],
         )
-    search = SearchConfig(
-        omega_max=p["omega_max"],
-        t_max=p["t_max"],
-        segments=p["segments"],
-        population=p["population"],
-        elite=p["elite"],
-        generations=p["generations"],
-        mutation_scale=p["mutation_scale"],
-        mutation_decay=p["mutation_decay"],
-        mutation_floor=p["mutation_floor"],
-        restart_after=p["restart_after"],
-    )
+    search = SearchConfig(**{f.name: p[f.name] for f in fields(SearchConfig)})
     best, score, history = optimize(model, scenario.colors, objective, search, seed=scenario.seed)
 
-    final = propagate(model, best.to_schedule(scenario.colors), initial).final
+    schedule = best.to_schedule(scenario.colors)
+    final = propagate(model, schedule, initial).final
     if p["objective"] == "state":
         extras = {"best_score": score, "fidelity": state_fidelity(final, target)}
     else:
@@ -292,20 +277,14 @@ def run_optimize(scenario: Scenario) -> list[Path]:
     ]
 
     # best pulse re-emitted as a runnable evolve scenario
-    realized_colors = []
-    segments = []
     n_colors = len(scenario.colors)
-    for s, (amps, phis) in enumerate(zip(best.amplitudes, best.phases)):
-        for color, a, phi in zip(scenario.colors, amps, phis):
-            realized_colors.append(
-                replace(color, rabi=float(a), phase=float(phi % (2 * np.pi)), detuning=0.0)
-            )
-        indices = tuple(range(s * n_colors, (s + 1) * n_colors))
-        segments.append((indices, best.duration / len(best.amplitudes)))
     replay = Scenario(
         model=model,
-        colors=tuple(realized_colors),
-        segments=tuple(segments),
+        colors=tuple(c for seg in schedule.segments for c in seg.colors),
+        segments=tuple(
+            (tuple(range(s * n_colors, (s + 1) * n_colors)), seg.duration)
+            for s, seg in enumerate(schedule.segments)
+        ),
         task="evolve",
         task_params={"initial": p["initial"], "samples_per_segment": 20},
         output=scenario.output + "_replay",

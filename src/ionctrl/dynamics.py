@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BasisState, ConvergenceError, SPIN_DOWN, SPIN_UP, displacement_element
-from .model import PHONON_SHIFT, FieldColor, SystemModel, control_raising, coupling_strength
+from .fock import BasisState, ConvergenceError, SPIN_DOWN, SPIN_UP, _evolve
+from .model import PHONON_SHIFT, FieldColor, SystemModel, _raising, control_raising, coupling_strength
 
 __all__ = [
     "Segment",
@@ -40,7 +40,7 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"segment duration must be positive, got {self.duration}")
 
 
@@ -66,7 +66,7 @@ class Trajectory:
 def _check_normalized(psi: np.ndarray, what: str = "state", tol: float = 1e-8) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise ValueError(f"{what} is not normalized (norm {norm})")
     return psi
 
@@ -87,14 +87,6 @@ def segment_hamiltonian(model: SystemModel, segment: Segment) -> np.ndarray:
         k = control_raising(model, color)
         h += color.rabi * np.exp(1j * color.phase) * k
     return h + h.conj().T
-
-
-def _evolve(h: np.ndarray, psi: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """exp(-i h t) psi for each t, via one Hermitian eigendecomposition."""
-    w, v = np.linalg.eigh(h)
-    coeff = v.conj().T @ psi
-    phases = np.exp(-1j * np.outer(times, w))
-    return (phases * coeff) @ v.T
 
 
 def propagate(
@@ -132,34 +124,12 @@ def _manifold_terms(model: SystemModel, color: FieldColor):
     models retain the three first-order manifolds, exact models all of
     them.
     """
-    basis = model.basis
-    n_levels = basis.fock_cutoff
-    eta = model.effective_eta(color.target_ion)
+    n_levels = model.basis.fock_cutoff
     resonant_shift = PHONON_SHIFT[color.sideband]
-    pseudo_sideband = {dn: sideband for sideband, dn in PHONON_SHIFT.items()}
     dns = (-1, 0, 1) if model.ldl else range(-(n_levels - 1), n_levels)
     for dn in dns:
-        k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-        nonzero = False
-        for state in basis.states():
-            if state.spins[color.target_ion] != SPIN_DOWN:
-                continue
-            n_to = state.phonon + dn
-            if not 0 <= n_to < n_levels:
-                continue
-            if model.ldl:
-                probe = FieldColor(target_ion=color.target_ion, sideband=pseudo_sideband[dn])
-                elem = coupling_strength(model, probe, state.phonon)
-            else:
-                elem = displacement_element(n_to, state.phonon, eta)
-            if abs(elem) < 1e-16:
-                continue
-            flipped = list(state.spins)
-            flipped[color.target_ion] = SPIN_UP
-            upper = BasisState(spins=tuple(flipped), phonon=n_to)
-            k[basis.index(upper), basis.index(state)] = elem
-            nonzero = True
-        if nonzero:
+        k = _raising(model, color.target_ion, dn)
+        if k.any():
             yield dn - resonant_shift, k
 
 
@@ -191,9 +161,7 @@ def _oracle_final_state(
             h = np.zeros((model.basis.dimension,) * 2, dtype=complex)
             for mult, w_mat in groups.items():
                 h += np.exp(1j * mult * omega * t_mid) * w_mat
-            h = h + h.conj().T
-            w, v = np.linalg.eigh(h)
-            psi = v @ (np.exp(-1j * w * h_step) * (v.conj().T @ psi))
+            psi = _evolve(h + h.conj().T, psi, [h_step])[0]
         t0 += seg.duration
         samples.append((t0, psi))
     return samples
@@ -238,12 +206,6 @@ class BchDefectResult:
     slope2: float
 
 
-def _expm_i_hermitian(h: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(i * scale * h) for Hermitian h."""
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * scale * w)) @ v.conj().T
-
-
 def bch_defect(hc: np.ndarray, hb: np.ndarray, dt_list) -> BchDefectResult:
     """Spectral-norm defect of the split product against the exact
     exponential, without and with the first commutator correction.
@@ -261,11 +223,13 @@ def bch_defect(hc: np.ndarray, hb: np.ndarray, dt_list) -> BchDefectResult:
         raise ValueError("inputs must have equal dimension")
     comm = hc @ hb - hb @ hc
     comm_herm = -1j * comm  # [Hc,Hb] is anti-Hermitian
+    eye = np.eye(hc.shape[0])
     rows = []
     for dt in dt_list:
-        exact = _expm_i_hermitian(hc + hb, dt)
-        split = _expm_i_hermitian(hc, dt) @ _expm_i_hermitian(hb, dt)
-        correction = _expm_i_hermitian(comm_herm, 0.5 * dt * dt)
+        # exp(i H dt) is exp(-i H t) at t = -dt
+        exact = _evolve(hc + hb, eye, [-dt])[0]
+        split = _evolve(hc, eye, [-dt])[0] @ _evolve(hb, eye, [-dt])[0]
+        correction = _evolve(comm_herm, eye, [-0.5 * dt * dt])[0]
         d1 = float(np.linalg.norm(exact - split, 2))
         d2 = float(np.linalg.norm(exact - split @ correction, 2))
         rows.append((float(dt), d1, d2))
@@ -344,9 +308,7 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
             duration=duration,
         )
         backward.append(seg)
-        h = segment_hamiltonian(model, seg)
-        w, v = np.linalg.eigh(h)
-        state[:] = v @ (np.exp(-1j * w * duration) * (v.conj().T @ state))
+        state[:] = _evolve(segment_hamiltonian(model, seg), state, [duration])[0]
 
     for m in range(n_max, 0, -1):
         # carrier pair (down,m) -> (up,m): empty the upper component

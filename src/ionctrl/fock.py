@@ -1,4 +1,5 @@
-"""Truncated qubit/oscillator basis, ladder operators and displacement elements.
+"""Truncated qubit/oscillator basis, displacement elements and the Hermitian
+exponential the other modules propagate with.
 
 Basis convention: spin index 0 is down, 1 is up.  States are enumerated
 spins-major, phonon-minor, so the flat index of |s_1 .. s_k, n> is
@@ -9,7 +10,6 @@ for Fock cutoff N.  All operators are dense complex ndarrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -19,18 +19,8 @@ __all__ = [
     "ConvergenceError",
     "BasisState",
     "TruncatedBasis",
-    "ladder_operators",
-    "number_operator",
-    "sigma_x",
-    "sigma_y",
-    "sigma_z",
-    "sigma_plus",
-    "sigma_minus",
-    "tensor",
     "displacement_exact",
     "displacement_element",
-    "is_hermitian",
-    "is_unitary",
 ]
 
 SPIN_DOWN = 0
@@ -105,59 +95,26 @@ class TruncatedBasis:
         return vec
 
 
-def ladder_operators(fock_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation and creation operators on the truncated Fock space.
+def _evolve(h: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
+    """exp(-i h t) psi for each t in `times`, via one eigendecomposition of
+    the Hermitian h.
 
-    a|n> = sqrt(n)|n-1>; a_dag is the conjugate transpose of a within
-    the cutoff (so a_dag|N-1> = 0 rather than sqrt(N)|N>).
+    psi is a state (d,) or a matrix (d, k); the results are stacked along
+    a new leading axis, one per time.  The identity as psi gives the
+    matrix exponential itself.
     """
-    if fock_cutoff < 2:
-        raise ValueError(f"fock_cutoff must be >= 2, got {fock_cutoff}")
-    a = np.zeros((fock_cutoff, fock_cutoff), dtype=complex)
-    for n in range(1, fock_cutoff):
-        a[n - 1, n] = np.sqrt(n)
-    return a, a.conj().T
-
-
-def number_operator(fock_cutoff: int) -> np.ndarray:
-    return np.diag(np.arange(fock_cutoff, dtype=float)).astype(complex)
-
-
-def sigma_x() -> np.ndarray:
-    return np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def sigma_y() -> np.ndarray:
-    return np.array([[0, 1j], [-1j, 0]], dtype=complex)
-
-
-def sigma_z() -> np.ndarray:
-    # +1 on the up state (index 1), -1 on down (index 0)
-    return np.array([[-1, 0], [0, 1]], dtype=complex)
-
-
-def sigma_plus() -> np.ndarray:
-    return np.array([[0, 0], [1, 0]], dtype=complex)
-
-
-def sigma_minus() -> np.ndarray:
-    return np.array([[0, 1], [0, 0]], dtype=complex)
-
-
-def tensor(ops) -> np.ndarray:
-    """Kronecker product of the given operators, left factor slowest."""
-    mats = [np.asarray(op, dtype=complex) for op in ops]
-    if not mats:
-        raise ValueError("tensor requires at least one operator")
-    return reduce(np.kron, mats)
+    w, v = np.linalg.eigh(h)
+    coeff = v.conj().T @ psi
+    phases = np.exp(-1j * np.outer(times, w))
+    if coeff.ndim == 1:
+        return (phases * coeff) @ v.T
+    return v @ (phases[:, :, None] * coeff)
 
 
 def _displacement_block(eta: float, fock_cutoff: int, pad: int) -> np.ndarray:
-    m = fock_cutoff + pad
-    a, a_dag = ladder_operators(max(m, 2))
-    h = eta * (a + a_dag)
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * w)) @ v.conj().T
+    m = max(fock_cutoff + pad, 2)
+    a = np.diag(np.sqrt(np.arange(1.0, m)), 1)
+    u = _evolve(eta * (a + a.T), np.eye(m), [-1.0])[0]
     return u[:fock_cutoff, :fock_cutoff]
 
 
@@ -203,12 +160,3 @@ def displacement_element(n_to: int, n_from: int, eta: float) -> complex:
         ratio /= np.sqrt(k)
     mag = np.exp(-0.5 * eta**2) * ratio * eta**dn * laguerre(n_lo, dn, eta**2)
     return complex(1j**dn * mag)
-
-
-def is_hermitian(op: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(op - op.conj().T)) <= tol)
-
-
-def is_unitary(op: np.ndarray, tol: float = 1e-10) -> bool:
-    eye = np.eye(op.shape[0])
-    return bool(np.max(np.abs(op.conj().T @ op - eye)) <= tol)

@@ -26,12 +26,12 @@ __all__ = [
     "degeneracy_report",
 ]
 
-# basis buffers a sweep may allocate (a real and a complex (cap, d^2) array)
-_MAX_BUFFER_BYTES = 1 << 30
+# peak memory a sweep may allocate, as counted by _sweep_bytes
+_MAX_SWEEP_BYTES = 1 << 30
 
 
 class SweepTooLargeError(ValueError):
-    """The sweep's basis buffers would exceed the module's memory limit."""
+    """The sweep's peak memory would exceed the module's limit."""
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,19 @@ def _real_coordinates(d: int):
     return pack, unpack
 
 
+def _sweep_bytes(cap: int, d: int) -> int:
+    """Peak bytes of a sweep over cap elements of dimension d.
+
+    The real and the complex basis buffers take 24 * cap * d^2.  On top
+    of them comes the larger of the last element's commutator batch
+    (i = cap - 1: the complex (i*d, d) product, the three real (i, d^2)
+    temporaries `pack` holds at once, and the previous element's comms
+    and residual, together 56 * i * d^2) and the returned basis copy
+    (16 * cap * d^2).
+    """
+    return d * d * (24 * cap + max(56 * (cap - 1), 16 * cap))
+
+
 def dynamical_lie_algebra(
     drift: np.ndarray,
     controls,
@@ -107,10 +120,11 @@ def dynamical_lie_algebra(
     r(X) = [sqrt2*Re X_jk, sqrt2*Im X_jk for j<k, Im X_jj], which carry
     the trace inner product Re tr(X^H Y) as a dot product, so `tol`
     bounds the same Frobenius norm; the complex matrices are kept only
-    to form commutators and to return the basis.  The two buffers take
-    24 * cap * d^2 bytes for cap = min(max_dim, d^2) elements; a sweep
-    that would need more than 1 GiB raises SweepTooLargeError (a
-    ValueError) before allocating; max_dim bounds it.
+    to form commutators and to return the basis.  For cap = min(max_dim,
+    d^2) elements the sweep peaks at about
+    d^2 * (24 * cap + max(56 * (cap - 1), 16 * cap)) bytes; a sweep that
+    would need more than 1 GiB raises SweepTooLargeError (a ValueError)
+    before allocating; max_dim bounds it.
     """
     mats = [_check_hermitian(drift, "drift")]
     mats += [_check_hermitian(c, f"control {i}") for i, c in enumerate(controls)]
@@ -121,12 +135,12 @@ def dynamical_lie_algebra(
     cap = full if max_dim is None else min(int(max_dim), full)
     if cap < 1:
         raise ValueError("max_dim must be positive")
-    needed = cap * full * (np.dtype(float).itemsize + np.dtype(complex).itemsize)
-    if needed > _MAX_BUFFER_BYTES:
+    needed = _sweep_bytes(cap, d)
+    if needed > _MAX_SWEEP_BYTES:
         raise SweepTooLargeError(
             f"a sweep over {cap} elements of dimension {d} needs about "
-            f"{needed / 2**20:.0f} MiB of basis buffers, above the "
-            f"{_MAX_BUFFER_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
+            f"{needed / 2**20:.0f} MiB, above the "
+            f"{_MAX_SWEEP_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
         )
     seeds = [1j * m for m in mats]
     scale = max(np.linalg.norm(s) for s in seeds)

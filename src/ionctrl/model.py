@@ -84,7 +84,7 @@ class FieldColor:
             raise ValueError(f"sideband must be one of {SIDEBANDS}, got {self.sideband!r}")
         if self.target_ion < 0:
             raise ValueError(f"target_ion must be nonnegative, got {self.target_ion}")
-        if self.rabi < 0:
+        if not self.rabi >= 0:
             raise ValueError(f"rabi must be nonnegative, got {self.rabi}")
 
 
@@ -147,21 +147,25 @@ def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
 
 
 @lru_cache(maxsize=128)
-def _raising_cached(model: SystemModel, target_ion: int, sideband: str) -> np.ndarray:
+def _raising(model: SystemModel, ion: int, dn: int) -> np.ndarray:
+    """Raising operator of the manifold |..down.., n> -> |..up.., n+dn> of
+    one ion, entry by entry the coupling_strength convention; cached and
+    read-only."""
     basis = model.basis
-    shift = PHONON_SHIFT[sideband]
-    probe = FieldColor(target_ion=target_ion, sideband=sideband)
+    eta = model.effective_eta(ion)
+    sideband = {shift: name for name, shift in PHONON_SHIFT.items()}.get(dn)
     k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     for state in basis.states():
-        if state.spins[target_ion] != SPIN_DOWN:
+        n_to = state.phonon + dn
+        if state.spins[ion] != SPIN_DOWN or not 0 <= n_to < basis.fock_cutoff:
             continue
-        n_to = state.phonon + shift
-        if not 0 <= n_to < basis.fock_cutoff:
-            continue
-        flipped = list(state.spins)
-        flipped[target_ion] = SPIN_UP
-        upper = BasisState(spins=tuple(flipped), phonon=n_to)
-        k[basis.index(upper), basis.index(state)] = coupling_strength(model, probe, state.phonon)
+        spins = state.spins[:ion] + (SPIN_UP,) + state.spins[ion + 1 :]
+        upper = basis.index(BasisState(spins=spins, phonon=n_to))
+        if model.ldl:
+            elem = 1j ** abs(dn) * ldl_coupling(state.phonon, sideband, eta)
+        else:
+            elem = displacement_element(n_to, state.phonon, eta)
+        k[upper, basis.index(state)] = elem
     k.setflags(write=False)
     return k
 
@@ -176,7 +180,7 @@ def control_raising(model: SystemModel, color: FieldColor) -> np.ndarray:
     returned array is a cached read-only view.
     """
     model.check_color(color)
-    return _raising_cached(model, color.target_ion, color.sideband)
+    return _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
 
 
 def build_drift(model: SystemModel) -> np.ndarray:

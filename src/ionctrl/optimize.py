@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PulseSchedule, Segment, propagate
+from .dynamics import PulseSchedule, Segment, _check_normalized, propagate
 from .model import SystemModel
 
 __all__ = [
@@ -35,9 +35,8 @@ def state_fidelity(psi: np.ndarray, target: np.ndarray) -> float:
     target = np.asarray(target, dtype=complex)
     if psi.shape != target.shape:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {target.shape}")
-    for name, vec in (("psi", psi), ("target", target)):
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
-            raise ValueError(f"{name} is not normalized")
+    _check_normalized(psi, "psi")
+    _check_normalized(target, "target")
     return float(abs(np.vdot(target, psi)) ** 2)
 
 
@@ -48,17 +47,14 @@ def spin_fidelity(psi: np.ndarray, target_spin: np.ndarray, basis) -> tuple[floa
     The phonon index is traced out; purity 1 means the motion factors
     from the spin state exactly.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-8:
-        raise ValueError("psi is not normalized")
+    psi = _check_normalized(psi, "psi")
     spin_dim = 2**basis.ion_count
     if psi.shape != (spin_dim * basis.fock_cutoff,):
         raise ValueError("psi does not live on the given basis")
     target_spin = np.asarray(target_spin, dtype=complex)
     if target_spin.shape != (spin_dim,):
         raise ValueError(f"target_spin must have dimension {spin_dim}")
-    if abs(np.linalg.norm(target_spin) - 1.0) > 1e-8:
-        raise ValueError("target_spin is not normalized")
+    _check_normalized(target_spin, "target_spin")
     amp = psi.reshape(spin_dim, basis.fock_cutoff)
     rho = amp @ amp.conj().T
     fidelity = float(np.real(target_spin.conj() @ rho @ target_spin))
@@ -82,10 +78,8 @@ class Objective:
     def __post_init__(self):
         if self.kind not in ("state_fidelity", "spin_fidelity"):
             raise ValueError(f"unknown objective kind {self.kind!r}")
-        if abs(np.linalg.norm(self.initial) - 1.0) > 1e-8:
-            raise ValueError("initial state is not normalized")
-        if abs(np.linalg.norm(self.target) - 1.0) > 1e-8:
-            raise ValueError("target is not normalized")
+        _check_normalized(self.initial, "initial state")
+        _check_normalized(self.target, "target")
 
     def score(self, psi: np.ndarray, basis) -> float:
         if self.kind == "state_fidelity":

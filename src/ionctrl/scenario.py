@@ -393,6 +393,15 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
         params["mutation_decay"] = _get(data, "mutation_decay", float, ctx, default=0.97)
         params["mutation_floor"] = _get(data, "mutation_floor", float, ctx, default=0.005)
         params["restart_after"] = _get(data, "restart_after", int, ctx, default=50)
+        for field in ("omega_max", "t_max"):
+            if params[field] <= 0:
+                _fail(f"task.{field}", "must be positive")
+        if not 1 <= params["segments"] <= 8:
+            _fail("task.segments", "must be between 1 and 8")
+        if not 0 < params["elite"] < params["population"]:
+            _fail("task.elite", f"must be between 1 and population - 1 ({params['population'] - 1})")
+        if params["generations"] < 1:
+            _fail("task.generations", "must be >= 1")
     return kind, params
 
 

@@ -255,6 +255,24 @@ task: {kind: liealg, subspace: full, max_dim: 0}
 """,
             "task.max_dim",
         ),
+        *(
+            (
+                f"""
+model: {{ions: 1, lamb_dicke: 0.1, cutoff: 4}}
+colors: [{{ion: 0, sideband: carrier}}]
+task: {{kind: optimize, {setting}}}
+""",
+                field,
+            )
+            for setting, field in (
+                ("elite: 40", "task.elite"),
+                ("population: 4", "task.elite"),
+                ("segments: 9", "task.segments"),
+                ("omega_max: -0.5", "task.omega_max"),
+                ("t_max: 0.0", "task.t_max"),
+                ("generations: 0", "task.generations"),
+            )
+        ),
     ],
     ids=[
         "nan_duration",
@@ -263,6 +281,12 @@ task: {kind: liealg, subspace: full, max_dim: 0}
         "null_amplitude",
         "nan_spin_amplitude",
         "zero_max_dim",
+        "elite_above_population",
+        "population_below_default_elite",
+        "nine_segments",
+        "negative_omega_max",
+        "zero_t_max",
+        "zero_generations",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):

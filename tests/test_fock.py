@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ionctrl import (
     BasisState,
     TruncatedBasis,
     displacement_element,
     displacement_exact,
-    is_hermitian,
-    is_unitary,
-    ladder_operators,
     laguerre_zeros,
-    number_operator,
-    tensor,
 )
+from ionctrl.fock import _evolve
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]   # severs the blue 6->7 edge
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -52,48 +49,6 @@ class TestBasis:
             BasisState(spins=(2,), phonon=0)
         with pytest.raises(ValueError):
             TruncatedBasis(ion_count=3, fock_cutoff=2)
-
-
-class TestLadder:
-    def test_cutoff_two(self):
-        a, a_dag = ladder_operators(2)
-        expected = np.zeros((2, 2))
-        expected[0, 1] = 1.0
-        assert np.allclose(a, expected)
-        assert np.allclose(a_dag, expected.T)
-
-    def test_matrix_elements(self):
-        a, a_dag = ladder_operators(4)
-        assert a[2, 3] == pytest.approx(np.sqrt(3))
-        assert np.allclose(a_dag, a.conj().T)
-        assert np.allclose(np.diag(a_dag @ a), [0, 1, 2, 3])
-        assert np.allclose(number_operator(4), a_dag @ a)
-
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError):
-            ladder_operators(1)
-
-
-class TestTensor:
-    def test_identities(self):
-        assert np.allclose(tensor([np.eye(2), np.eye(2)]), np.eye(4))
-
-    def test_spins_major_ordering(self):
-        sz = np.diag([1.0, -1.0])
-        assert np.allclose(np.diag(tensor([sz, np.eye(2)])), [1, 1, -1, -1])
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a, c = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
-            b, d = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-            lhs = tensor([a, b]) @ tensor([c, d])
-            rhs = tensor([a @ c, b @ d])
-            assert np.allclose(lhs, rhs)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            tensor([])
 
 
 class TestDisplacementExact:
@@ -155,11 +110,37 @@ class TestDisplacementElement:
             assert 0.0 <= drop < (n + 1.0) * eta**2
 
 
-def test_hermiticity_and_unitarity_predicates():
-    h = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -1.0]])
-    assert is_hermitian(h)
-    assert not is_hermitian(h + np.array([[0, 1e-6], [0, 0]]))
-    w, v = np.linalg.eigh(h)
-    u = (v * np.exp(1j * w)) @ v.conj().T
-    assert is_unitary(u)
-    assert not is_unitary(0.5 * u)
+class TestEvolve:
+    """The one Hermitian exponential against scipy's expm at d = 24."""
+
+    @staticmethod
+    def hermitian(seed, d=24):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return 0.5 * (m + m.conj().T)
+
+    def test_single_state(self):
+        h = self.hermitian(1)
+        psi = np.zeros(24, dtype=complex)
+        psi[3] = 1.0
+        out = _evolve(h, psi, [0.7])
+        assert out.shape == (1, 24)
+        assert np.max(np.abs(out[0] - expm(-0.7j * h) @ psi)) < 1e-12
+
+    def test_array_of_times(self):
+        h = self.hermitian(2)
+        rng = np.random.default_rng(3)
+        psi = rng.standard_normal(24) + 1j * rng.standard_normal(24)
+        psi /= np.linalg.norm(psi)
+        times = np.array([0.0, 0.25, 1.0, 3.5])
+        out = _evolve(h, psi, times)
+        assert out.shape == (4, 24)
+        for t, state in zip(times, out):
+            assert np.max(np.abs(state - expm(-1j * t * h) @ psi)) < 1e-12
+
+    def test_identity_gives_the_matrix_exponential(self):
+        h = self.hermitian(4)
+        for t in (0.3, -1.2):
+            u = _evolve(h, np.eye(24), [t])
+            assert u.shape == (1, 24, 24)
+            assert np.max(np.abs(u[0] - expm(-1j * t * h))) < 1e-12

@@ -1,0 +1,59 @@
+"""Static checks on the package source: exported names resolve and no
+module imports a name it never uses."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ionctrl"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def parse(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def dunder_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(e) for e in node.value.elts]
+    return []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_entries_resolve(name):
+    module = importlib.import_module(f"ionctrl.{name}")
+    missing = [entry for entry in dunder_all(parse(name)) if not hasattr(module, entry)]
+    assert not missing
+
+
+def test_package_imports_resolve():
+    package = importlib.import_module("ionctrl")
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(parse("__init__"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported
+    assert [name for name in imported if not hasattr(package, name)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_imports(name):
+    tree = parse(name)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used.update(dunder_all(tree))
+    assert {n: line for n, line in imported.items() if n not in used} == {}

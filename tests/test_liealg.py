@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from ionctrl import (
     dynamical_lie_algebra,
     laguerre_zeros,
 )
-from ionctrl.liealg import _real_coordinates
+from ionctrl.liealg import _real_coordinates, _sweep_bytes
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -155,6 +157,27 @@ class TestDynamicalLieAlgebra:
             dynamical_lie_algebra(drift, [control])
         capped = dynamical_lie_algebra(drift, [control], max_dim=5)
         assert capped.dimension <= 5
+
+    @pytest.mark.parametrize(
+        "system, max_dim",
+        [
+            (lambda: truncated_subsystem()[:2], None),
+            (lambda: truncated_subsystem()[:2], 50),
+            (lambda: ldl_ladder(8)[1:], None),
+        ],
+        ids=["closed_14", "closed_14_max_dim_50", "ldl_8"],
+    )
+    def test_peak_memory_within_estimate(self, system, max_dim):
+        drift, controls = system()
+        d = drift.shape[0]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dynamical_lie_algebra(drift, controls, max_dim=max_dim)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= _sweep_bytes(d * d if max_dim is None else max_dim, d)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

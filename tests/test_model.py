@@ -11,12 +11,13 @@ from ionctrl import (
     build_control,
     build_drift,
     closed_subspace,
+    control_raising,
     coupling_strength,
+    displacement_element,
     laguerre_zeros,
     ldl_coupling,
-    number_operator,
-    tensor,
 )
+from ionctrl.model import PHONON_SHIFT, _raising
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -86,7 +87,7 @@ class TestDrift:
 
     def test_commutes_with_phonon_number(self):
         model = two_ion(0.3, 4)
-        n_full = tensor([np.eye(4), number_operator(4)])
+        n_full = np.kron(np.eye(4), np.diag(np.arange(4.0)))
         h0 = build_drift(model)
         assert np.allclose(h0 @ n_full - n_full @ h0, 0.0)
 
@@ -166,6 +167,47 @@ class TestBuildControl:
                 full = abs(coupling_strength(exact, FieldColor(0, sideband), n))
                 first_order = ldl_coupling(n, sideband, eta)
                 assert abs(full - first_order) / first_order < 0.02
+
+
+def raising_reference(model, ion, dn):
+    """One manifold's raising operator, entry by entry."""
+    sideband = {0: "carrier", 1: "blue", -1: "red"}
+    basis = model.basis
+    eta = model.effective_eta(ion)
+    k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+    for j in range(basis.dimension):
+        state = basis.state(j)
+        n_to = state.phonon + dn
+        if state.spins[ion] != 0 or not 0 <= n_to < basis.fock_cutoff:
+            continue
+        spins = list(state.spins)
+        spins[ion] = 1
+        i = basis.index(BasisState(tuple(spins), n_to))
+        if model.ldl:
+            k[i, j] = 1j ** abs(dn) * ldl_coupling(state.phonon, sideband[dn], eta)
+        else:
+            k[i, j] = displacement_element(n_to, state.phonon, eta)
+    return k
+
+
+class TestRaising:
+    @pytest.mark.parametrize("ldl", [False, True])
+    @pytest.mark.parametrize("make", [one_ion, two_ion])
+    def test_every_manifold_matches_reference(self, make, ldl):
+        model = make(0.3, 5, ldl=ldl)
+        dns = (-1, 0, 1) if ldl else range(-4, 5)
+        for ion in range(model.basis.ion_count):
+            for dn in dns:
+                k = _raising(model, ion, dn)
+                assert not k.flags.writeable
+                assert np.array_equal(k, raising_reference(model, ion, dn))
+
+    @pytest.mark.parametrize("ldl", [False, True])
+    def test_control_raising_is_the_cached_manifold(self, ldl):
+        model = two_ion(0.3, 5, ldl=ldl)
+        for ion in (0, 1):
+            for sideband, dn in PHONON_SHIFT.items():
+                assert control_raising(model, FieldColor(ion, sideband)) is _raising(model, ion, dn)
 
 
 class TestClosedSubspace:

@@ -6,7 +6,9 @@ from ionctrl import (
     FieldColor,
     IonConfig,
     Objective,
+    PulseSchedule,
     SearchConfig,
+    Segment,
     SystemModel,
     TrapConfig,
     TruncatedBasis,
@@ -134,6 +136,48 @@ class TestObjective:
             Objective(kind="other", target=ground, initial=ground)
         with pytest.raises(ValueError):
             Objective(kind="state_fidelity", target=2 * ground, initial=ground)
+
+
+def _state(second=0.0):
+    """|d,0> on a one-ion cutoff-4 basis, with `second` as the |d,1> amplitude."""
+    psi = np.zeros(8, dtype=complex)
+    psi[0] = 1.0
+    psi[1] = second
+    return psi
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: propagate(
+            one_ion(0.1, 4),
+            PulseSchedule((Segment((FieldColor(0, "carrier"),), 1.0),)),
+            _state(np.nan),
+        ),
+        lambda: state_fidelity(_state(np.nan), _state()),
+        lambda: state_fidelity(_state(), _state(np.nan)),
+        lambda: spin_fidelity(_state(np.nan), np.array([1.0, 0.0]), TruncatedBasis(1, 4)),
+        lambda: spin_fidelity(_state(), np.array([1.0, np.nan]), TruncatedBasis(1, 4)),
+        lambda: Objective("state_fidelity", target=_state(), initial=_state(np.nan)),
+        lambda: Objective("state_fidelity", target=_state(np.nan), initial=_state()),
+        lambda: Segment((FieldColor(0, "carrier"),), np.nan),
+        lambda: FieldColor(0, "carrier", rabi=np.nan),
+    ],
+    ids=[
+        "propagate_psi0",
+        "state_fidelity_psi",
+        "state_fidelity_target",
+        "spin_fidelity_psi",
+        "spin_fidelity_target_spin",
+        "objective_initial",
+        "objective_target",
+        "segment_duration",
+        "color_rabi",
+    ],
+)
+def test_nan_input_raises_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestOptimize:
