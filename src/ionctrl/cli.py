@@ -51,28 +51,33 @@ def _provenance(scenario: Scenario, **extras) -> dict:
     return base
 
 
+def _closed_subspace(scenario: Scenario) -> list[int]:
+    sub = closed_subspace(scenario.model, list(scenario.colors), threshold=scenario.threshold)
+    if sub is None:
+        raise ScenarioError("task.subspace: no finite closed subspace at this Lamb-Dicke parameter")
+    return sub
+
+
 def run_zeros(scenario: Scenario) -> list[Path]:
     p = scenario.task_params
-    roots = laguerre_zeros(p["degree"], p["order"])
-    prov = _provenance(scenario, degree=p["degree"], order=p["order"])
-    paths = [
-        write_csv(
-            scenario.output + "_zeros.csv",
-            ["index", "root"],
-            list(enumerate(roots)),
-            prov,
-        )
-    ]
+    # the curve is checked first: it is cheap, and the eigensolve is O(degree^3)
     xs = np.linspace(0.0, p["grid_max"], p["grid_points"])
-    paths.append(
-        write_csv(
-            scenario.output + "_curve.csv",
-            ["x", "value"],
-            laguerre_curve(p["degree"], p["order"], xs),
-            prov,
+    with np.errstate(over="ignore", invalid="ignore"):
+        curve = laguerre_curve(p["degree"], p["order"], xs)
+    if not np.isfinite(curve).all():
+        raise ScenarioError(
+            f"task.grid_max: L_{p['degree']}^{p['order']} overflows double precision "
+            f"on [0, {p['grid_max']}]; lower grid_max"
         )
-    )
-    return paths
+    try:
+        roots = laguerre_zeros(p["degree"], p["order"])
+    except ValueError as exc:
+        raise ScenarioError(f"task.degree: {exc}") from exc
+    prov = _provenance(scenario, degree=p["degree"], order=p["order"])
+    return [
+        write_csv(scenario.output + "_zeros.csv", ["index", "root"], list(enumerate(roots)), prov),
+        write_csv(scenario.output + "_curve.csv", ["x", "value"], curve, prov),
+    ]
 
 
 def run_matelem(scenario: Scenario) -> list[Path]:
@@ -126,11 +131,7 @@ def run_liealg(scenario: Scenario) -> list[Path]:
     drift = build_drift(model)
     controls = [build_control(model, c) for c in scenario.colors]
     if p["subspace"] == "closed":
-        sub = closed_subspace(model, list(scenario.colors), threshold=scenario.threshold)
-        if sub is None:
-            raise ScenarioError(
-                "task.subspace: no finite closed subspace at this Lamb-Dicke parameter"
-            )
+        sub = _closed_subspace(scenario)
         idx = np.array(sub)
         drift = drift[np.ix_(idx, idx)]
         controls = [c[np.ix_(idx, idx)] for c in controls]
@@ -184,11 +185,7 @@ def run_evolve(scenario: Scenario) -> list[Path]:
     ]
     if "subspace" in p:
         if p["subspace"] == "closed":
-            sub = closed_subspace(model, list(scenario.colors), threshold=scenario.threshold)
-            if sub is None:
-                raise ScenarioError(
-                    "task.subspace: no finite closed subspace at this Lamb-Dicke parameter"
-                )
+            sub = _closed_subspace(scenario)
         else:
             sub = list(range(model.basis.dimension))
         series = subspace_population(traj, sub)

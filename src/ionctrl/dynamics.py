@@ -40,8 +40,8 @@ class Segment:
     duration: float
 
     def __post_init__(self):
-        if not self.duration > 0:
-            raise ValueError(f"segment duration must be positive, got {self.duration}")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"segment duration must be positive and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)

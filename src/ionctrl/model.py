@@ -47,12 +47,14 @@ class TrapConfig:
     mode_weights: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if self.mode_freq <= 0:
-            raise ValueError(f"mode_freq must be positive, got {self.mode_freq}")
-        if self.lamb_dicke < 0:
-            raise ValueError(f"lamb_dicke must be nonnegative, got {self.lamb_dicke}")
+        if not 0 < self.mode_freq < np.inf:
+            raise ValueError(f"mode_freq must be positive and finite, got {self.mode_freq}")
+        if not 0 <= self.lamb_dicke < np.inf:
+            raise ValueError(f"lamb_dicke must be nonnegative and finite, got {self.lamb_dicke}")
         if len(self.mode_weights) not in (1, 2):
             raise ValueError("mode_weights must list 1 or 2 ions")
+        if not all(-np.inf < w < np.inf for w in self.mode_weights):
+            raise ValueError(f"mode_weights must be finite, got {self.mode_weights}")
         mags = [abs(w) for w in self.mode_weights]
         if max(mags) - min(mags) > 1e-12:
             raise ValueError("participation factors must have equal magnitude across ions")
@@ -64,8 +66,10 @@ class IonConfig:
     individually_addressable: bool = True
 
     def __post_init__(self):
-        if self.qubit_splitting <= 0:
-            raise ValueError(f"qubit_splitting must be positive, got {self.qubit_splitting}")
+        if not 0 < self.qubit_splitting < np.inf:
+            raise ValueError(
+                f"qubit_splitting must be positive and finite, got {self.qubit_splitting}"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,8 +88,10 @@ class FieldColor:
             raise ValueError(f"sideband must be one of {SIDEBANDS}, got {self.sideband!r}")
         if self.target_ion < 0:
             raise ValueError(f"target_ion must be nonnegative, got {self.target_ion}")
-        if not self.rabi >= 0:
-            raise ValueError(f"rabi must be nonnegative, got {self.rabi}")
+        if not 0 <= self.rabi < np.inf:
+            raise ValueError(f"rabi must be nonnegative and finite, got {self.rabi}")
+        if not -np.inf < self.phase < np.inf:
+            raise ValueError(f"phase must be finite, got {self.phase}")
 
 
 @dataclass(frozen=True)

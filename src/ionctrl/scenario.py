@@ -327,6 +327,8 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
         params["grid_max"] = _get(
             data, "grid_max", float, ctx, default=float(4 * degree + 2 * order + 2)
         )
+        if params["grid_max"] < 0:
+            _fail("task.grid_max", "must be >= 0")
     elif kind == "matelem":
         params["max_n"] = _get(
             data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1

@@ -206,6 +206,31 @@ output: {tmp_path}/lie_full
 
 
 @pytest.mark.parametrize(
+    "task, field",
+    [
+        # the default grid reaches x = 1602, where L_400 overflows a double
+        ("{kind: zeros, degree: 400}", "task.grid_max"),
+        # the dense eigensolve would need about 1.1 GiB
+        ("{kind: zeros, degree: 7000, grid_max: 1.0}", "task.degree"),
+    ],
+    ids=["curve_overflow", "oversized_eigensolve"],
+)
+def test_uncomputable_zeros_exit_2_naming_field(tmp_path, capsys, task, field):
+    scn = write(
+        tmp_path,
+        "zeros.yaml",
+        f"""
+model: {{ions: 1, lamb_dicke: 0.1, cutoff: 4}}
+task: {task}
+output: {tmp_path}/z
+""",
+    )
+    assert main(["run", str(scn)]) == 2
+    assert field in capsys.readouterr().err
+    assert list(tmp_path.glob("z_*")) == []
+
+
+@pytest.mark.parametrize(
     "doc, field",
     [
         (
@@ -255,6 +280,13 @@ task: {kind: liealg, subspace: full, max_dim: 0}
 """,
             "task.max_dim",
         ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: zeros, degree: 3, grid_max: -1.0}
+""",
+            "task.grid_max",
+        ),
         *(
             (
                 f"""
@@ -281,6 +313,7 @@ task: {{kind: optimize, {setting}}}
         "null_amplitude",
         "nan_spin_amplitude",
         "zero_max_dim",
+        "negative_grid_max",
         "elite_above_population",
         "population_below_default_elite",
         "nine_segments",

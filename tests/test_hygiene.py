@@ -1,5 +1,6 @@
-"""Static checks on the package source: exported names resolve and no
-module imports a name it never uses."""
+"""Static checks on the package source: exported names resolve, no
+module imports a name it never uses, and every private module-level name
+is used somewhere in the package."""
 
 import ast
 import importlib
@@ -57,3 +58,38 @@ def test_no_unused_imports(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     used.update(dunder_all(tree))
     assert {n: line for n, line in imported.items() if n not in used} == {}
+
+
+def private_definitions(tree):
+    """Module-level `_name` functions, classes and constants, with their statements."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def loaded_names(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) or isinstance(n, ast.Attribute)
+    }
+
+
+def test_private_names_are_used():
+    trees = {name: parse(name) for name in MODULES + ["__init__"]}
+    statements = [stmt for tree in trees.values() for stmt in tree.body]
+    unused = [
+        f"{name}.{private}"
+        for name in MODULES
+        for private, definition in private_definitions(trees[name])
+        if not any(private in loaded_names(s) for s in statements if s is not definition)
+    ]
+    assert unused == []

@@ -79,9 +79,10 @@ def test_zero_count_ordering_and_residuals():
 
 
 def test_zeros_against_companion_matrix_oracle():
-    for n, alpha in ((3, 0), (5, 0), (6, 1), (9, 2), (12, 3)):
+    for n, alpha in ((3, 0), (5, 0), (6, 1), (9, 2), (12, 3), (20, 0), (30, 0), (60, 1), (80, 3)):
         mine = laguerre_zeros(n, alpha)
         reference = roots_genlaguerre(n, alpha)[0]
+        assert len(mine) == n
         assert np.allclose(mine, reference, atol=1e-10)
 
 

@@ -162,6 +162,13 @@ def _state(second=0.0):
         lambda: Objective("state_fidelity", target=_state(np.nan), initial=_state()),
         lambda: Segment((FieldColor(0, "carrier"),), np.nan),
         lambda: FieldColor(0, "carrier", rabi=np.nan),
+        lambda: FieldColor(0, "carrier", rabi=np.inf),
+        lambda: FieldColor(0, "carrier", phase=np.nan),
+        lambda: TrapConfig(np.nan, 0.1),
+        lambda: TrapConfig(1.0, np.nan),
+        lambda: TrapConfig(1.0, 0.1, mode_weights=(np.nan,)),
+        lambda: IonConfig(qubit_splitting=np.nan),
+        lambda: Segment((FieldColor(0, "carrier"),), np.inf),
     ],
     ids=[
         "propagate_psi0",
@@ -173,6 +180,13 @@ def _state(second=0.0):
         "objective_target",
         "segment_duration",
         "color_rabi",
+        "color_rabi_inf",
+        "color_phase",
+        "trap_mode_freq",
+        "trap_lamb_dicke",
+        "trap_mode_weights",
+        "ion_qubit_splitting",
+        "segment_duration_inf",
     ],
 )
 def test_nan_input_raises_value_error(call):
