@@ -29,12 +29,13 @@ def laguerre(n: int, alpha: int, x):
 
     The recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
     is stable in the direction of increasing k for the moderate degrees
-    (n <= ~30) used here.  Accepts scalar or array x >= 0.
+    (n <= ~30) used here.  Accepts scalar or array x, finite and >= 0.
     """
     _validate(n, alpha)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0):
-        raise ValueError("argument x must be nonnegative")
+    # written so that NaN fails it too
+    if not np.all((0 <= x_arr) & (x_arr < np.inf)):
+        raise ValueError("argument x must be finite and nonnegative")
     prev = np.ones_like(x_arr)
     if n == 0:
         return prev if x_arr.ndim else float(prev)

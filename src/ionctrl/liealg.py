@@ -92,12 +92,12 @@ def _sweep_bytes(cap: int, d: int) -> int:
 
     The real and the complex basis buffers take 24 * cap * d^2.  On top
     of them comes the larger of the last element's commutator batch
-    (i = cap - 1: the complex (i*d, d) product, the three real (i, d^2)
-    temporaries `pack` holds at once, and the previous element's comms
-    and residual, together 56 * i * d^2) and the returned basis copy
-    (16 * cap * d^2).
+    (i = cap - 1: the complex (i*d, d) product and the three real
+    (i, d^2) temporaries `pack` holds at once, together 40 * i * d^2;
+    each element's comms and residual are released before the next) and
+    the returned basis copy (16 * cap * d^2).
     """
-    return d * d * (24 * cap + max(56 * (cap - 1), 16 * cap))
+    return d * d * (24 * cap + max(40 * (cap - 1), 16 * cap))
 
 
 def dynamical_lie_algebra(
@@ -122,7 +122,7 @@ def dynamical_lie_algebra(
     bounds the same Frobenius norm; the complex matrices are kept only
     to form commutators and to return the basis.  For cap = min(max_dim,
     d^2) elements the sweep peaks at about
-    d^2 * (24 * cap + max(56 * (cap - 1), 16 * cap)) bytes; a sweep that
+    d^2 * (24 * cap + max(40 * (cap - 1), 16 * cap)) bytes; a sweep that
     would need more than 1 GiB raises SweepTooLargeError (a ValueError)
     before allocating; max_dim bounds it.
     """
@@ -201,6 +201,7 @@ def dynamical_lie_algebra(
                 if count >= cap:
                     break
                 try_add(comms[j])
+            del comms, residual, norms
         added = count - prev_count
         history.append((generations, added, count))
         if added == 0:

@@ -57,7 +57,7 @@ class TrapConfig:
             raise ValueError(f"mode_weights must be finite, got {self.mode_weights}")
         mags = [abs(w) for w in self.mode_weights]
         if max(mags) - min(mags) > 1e-12:
-            raise ValueError("participation factors must have equal magnitude across ions")
+            raise ValueError("mode_weights must have equal magnitude across ions")
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,21 @@ def ldl_coupling(n: int, sideband: str, eta: float) -> float:
     raise ValueError(f"unknown sideband {sideband!r}")
 
 
+# sideband of each resonant manifold, by its phonon shift
+_SIDEBAND_OF_SHIFT = {shift: name for name, shift in PHONON_SHIFT.items()}
+
+
+def _pair_coupling(model: SystemModel, ion: int, n: int, dn: int) -> complex:
+    """<..up.., n+dn| K |..down.., n> of one ion: the exact displacement
+    element, or in LDL models the first-order coupling with the same
+    i^|dn| phase, so the LDL model and the time-dependent oracle share
+    their resonant term."""
+    eta = model.effective_eta(ion)
+    if model.ldl:
+        return 1j ** abs(dn) * ldl_coupling(n, _SIDEBAND_OF_SHIFT[dn], eta)
+    return displacement_element(n + dn, n, eta)
+
+
 def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
     """Coupling of the resonant pair starting at |down, n> for one color.
 
@@ -141,15 +156,10 @@ def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
     displacement matrix element.
     """
     model.check_color(color)
-    eta = model.effective_eta(color.target_ion)
     shift = PHONON_SHIFT[color.sideband]
     if n + shift < 0:
         return 0.0
-    if model.ldl:
-        # same i^|dn| phase convention as the exact element, so the LDL
-        # model and the time-dependent oracle share their resonant term
-        return complex(1j ** abs(shift) * ldl_coupling(n, color.sideband, eta))
-    return displacement_element(n + shift, n, eta)
+    return complex(_pair_coupling(model, color.target_ion, n, shift))
 
 
 @lru_cache(maxsize=128)
@@ -158,8 +168,6 @@ def _raising(model: SystemModel, ion: int, dn: int) -> np.ndarray:
     one ion, entry by entry the coupling_strength convention; cached and
     read-only."""
     basis = model.basis
-    eta = model.effective_eta(ion)
-    sideband = {shift: name for name, shift in PHONON_SHIFT.items()}.get(dn)
     k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
     for state in basis.states():
         n_to = state.phonon + dn
@@ -167,11 +175,7 @@ def _raising(model: SystemModel, ion: int, dn: int) -> np.ndarray:
             continue
         spins = state.spins[:ion] + (SPIN_UP,) + state.spins[ion + 1 :]
         upper = basis.index(BasisState(spins=spins, phonon=n_to))
-        if model.ldl:
-            elem = 1j ** abs(dn) * ldl_coupling(state.phonon, sideband, eta)
-        else:
-            elem = displacement_element(n_to, state.phonon, eta)
-        k[upper, basis.index(state)] = elem
+        k[upper, basis.index(state)] = _pair_coupling(model, ion, state.phonon, dn)
     k.setflags(write=False)
     return k
 

@@ -124,14 +124,18 @@ class SearchConfig:
     restart_after: int = 50
 
     def __post_init__(self):
-        if self.omega_max <= 0 or self.t_max <= 0:
-            raise ValueError("omega_max and t_max must be positive")
+        # each message starts with its field; the scenario parser names it task.<field>
+        for name in ("omega_max", "t_max"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name}: must be positive")
         if not 1 <= self.segments <= 8:
-            raise ValueError("segments must be between 1 and 8")
+            raise ValueError("segments: must be between 1 and 8")
         if not 0 < self.elite < self.population:
-            raise ValueError("need 0 < elite < population")
+            raise ValueError(
+                f"elite: must be between 1 and population - 1 ({self.population - 1})"
+            )
         if self.generations < 1:
-            raise ValueError("generations must be positive")
+            raise ValueError("generations: must be >= 1")
 
 
 @dataclass(frozen=True)

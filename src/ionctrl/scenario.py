@@ -9,7 +9,7 @@ emit(parse(emit(s))) == emit(s) byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -17,6 +17,7 @@ import yaml
 from .dynamics import PulseSchedule, Segment
 from .fock import BasisState, TruncatedBasis
 from .model import FieldColor, IonConfig, SIDEBANDS, SystemModel, TrapConfig
+from .optimize import SearchConfig
 
 __all__ = ["ScenarioError", "Scenario", "parse_scenario", "emit_scenario", "TASKS"]
 
@@ -71,55 +72,50 @@ def _finite(value, field: str) -> float:
     return number
 
 
+# what each _get kind expects; float goes through _finite
+_KINDS = {int: "an integer", bool: "true/false", str: "a string", list: "a list", dict: "a mapping"}
+
+
+def _path(context: str, field) -> str:
+    """Field path of a key; top-level keys are named bare."""
+    return f"{context}.{field}" if context else str(field)
+
+
 def _get(mapping, field, kind, context, default=None, required=False):
     if not isinstance(mapping, dict):
         _fail(context, "expected a mapping")
+    where = _path(context, field)
     if field not in mapping:
         if required:
-            _fail(f"{context}.{field}", "missing required field")
+            _fail(where, "missing required field")
         return default
     value = mapping[field]
     if kind is float:
-        return _finite(value, f"{context}.{field}")
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            _fail(f"{context}.{field}", f"expected an integer, got {value!r}")
-        return value
-    if kind is bool:
-        if not isinstance(value, bool):
-            _fail(f"{context}.{field}", f"expected true/false, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            _fail(f"{context}.{field}", f"expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            _fail(f"{context}.{field}", f"expected a list, got {value!r}")
-        return value
-    if kind is dict:
-        if not isinstance(value, dict):
-            _fail(f"{context}.{field}", f"expected a mapping, got {value!r}")
-        return value
-    raise AssertionError(kind)
+        return _finite(value, where)
+    # bool is an int subclass; true/false is not an integer here
+    if not isinstance(value, kind) or (kind is int and type(value) is bool):
+        _fail(where, f"expected {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _check_unknown(mapping: dict, allowed, context: str) -> None:
     for key in mapping:
         if key not in allowed:
-            _fail(f"{context}.{key}", "unknown field")
+            _fail(_path(context, key), "unknown field")
 
 
-def parse_state_spec(entries, basis: TruncatedBasis, context: str) -> np.ndarray:
-    """[[spins, n, re, im], ...] -> normalized full-basis vector."""
+def _parse_amplitudes(entries, basis: TruncatedBasis, context: str, phonons: bool) -> np.ndarray:
+    """[[spins, n, re, im], ...], or [[spins, re, im], ...] without
+    phonons, -> normalized vector on the basis."""
+    layout = "[spins, n, re, im]" if phonons else "[spins, re, im]"
     if not isinstance(entries, list) or not entries:
-        _fail(context, "expected a nonempty list of [spins, n, re, im] entries")
+        _fail(context, f"expected a nonempty list of {layout} entries")
     vec = np.zeros(basis.dimension, dtype=complex)
     for k, entry in enumerate(entries):
         where = f"{context}[{k}]"
-        if not isinstance(entry, list) or len(entry) != 4:
-            _fail(where, "expected [spins, n, re, im]")
-        spins_str, n, re_amp, im_amp = entry
+        if not isinstance(entry, list) or len(entry) != 3 + phonons:
+            _fail(where, f"expected {layout}")
+        spins_str, n, re_amp, im_amp = entry if phonons else (entry[0], 0, *entry[1:])
         if not isinstance(spins_str, str) or len(spins_str) != basis.ion_count:
             _fail(where, f"spins must be a {basis.ion_count}-character d/u string")
         if any(c not in "du" for c in spins_str):
@@ -135,53 +131,40 @@ def parse_state_spec(entries, basis: TruncatedBasis, context: str) -> np.ndarray
     return vec / norm
 
 
+def parse_state_spec(entries, basis: TruncatedBasis, context: str) -> np.ndarray:
+    """[[spins, n, re, im], ...] -> normalized full-basis vector."""
+    return _parse_amplitudes(entries, basis, context, phonons=True)
+
+
 def parse_spin_spec(entries, ion_count: int, context: str) -> np.ndarray:
-    """[[spins, re, im], ...] -> normalized spin-space vector."""
-    if not isinstance(entries, list) or not entries:
-        _fail(context, "expected a nonempty list of [spins, re, im] entries")
-    vec = np.zeros(2**ion_count, dtype=complex)
-    for k, entry in enumerate(entries):
-        where = f"{context}[{k}]"
-        if not isinstance(entry, list) or len(entry) != 3:
-            _fail(where, "expected [spins, re, im]")
-        spins_str, re_amp, im_amp = entry
-        if not isinstance(spins_str, str) or len(spins_str) != ion_count:
-            _fail(where, f"spins must be a {ion_count}-character d/u string")
-        if any(c not in "du" for c in spins_str):
-            _fail(where, "spins may contain only 'd' and 'u'")
-        code = 0
-        for c in spins_str:
-            code = 2 * code + (0 if c == "d" else 1)
-        vec[code] += complex(_finite(re_amp, where), _finite(im_amp, where))
-    norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-6:
-        _fail(context, f"spin state is not normalized (norm {norm:.9f})")
-    return vec / norm
+    """[[spins, re, im], ...] -> normalized spin-space vector: the state of
+    a one-level oscillator, indexed like the full basis."""
+    return _parse_amplitudes(entries, TruncatedBasis(ion_count, 1), context, phonons=False)
 
 
 def _parse_model(data) -> SystemModel:
-    ions_raw = data.get("ions", 1)
-    if isinstance(ions_raw, int) and not isinstance(ions_raw, bool):
-        ion_entries = [{} for _ in range(ions_raw)]
-    elif isinstance(ions_raw, list):
-        ion_entries = ions_raw
+    ion_entries = data.get("ions", 1)
+    if type(ion_entries) is int:
+        count = ion_entries
+        ion_entries = [{}] * count if count in (1, 2) else None
+    elif isinstance(ion_entries, list):
+        count = len(ion_entries)
     else:
         _fail("model.ions", "expected an ion count or a list of ion mappings")
-    if len(ion_entries) not in (1, 2):
-        _fail("model.ions", f"1 or 2 ions supported, got {len(ion_entries)}")
+    if count not in (1, 2):
+        _fail("model.ions", f"1 or 2 ions supported, got {count}")
     ions = []
     for i, entry in enumerate(ion_entries):
+        ctx = f"model.ions[{i}]"
         if not isinstance(entry, dict):
-            _fail(f"model.ions[{i}]", "expected a mapping")
-        _check_unknown(entry, {"splitting", "addressable"}, f"model.ions[{i}]")
-        ions.append(
-            IonConfig(
-                qubit_splitting=_get(entry, "splitting", float, f"model.ions[{i}]", default=1.0),
-                individually_addressable=_get(
-                    entry, "addressable", bool, f"model.ions[{i}]", default=True
-                ),
-            )
-        )
+            _fail(ctx, "expected a mapping")
+        _check_unknown(entry, {"splitting", "addressable"}, ctx)
+        splitting = _get(entry, "splitting", float, ctx, default=1.0)
+        addressable = _get(entry, "addressable", bool, ctx, default=True)
+        try:
+            ions.append(IonConfig(qubit_splitting=splitting, individually_addressable=addressable))
+        except ValueError as exc:
+            raise ScenarioError(f"{ctx}.splitting: {exc}") from exc
 
     _check_unknown(
         data,
@@ -220,7 +203,8 @@ def _parse_model(data) -> SystemModel:
             ldl=ldl,
         )
     except ValueError as exc:
-        raise ScenarioError(f"model: {exc}") from exc
+        # every message the model classes raise here starts with its field
+        raise ScenarioError(f"model.{exc}") from exc
 
 
 def _parse_colors(data, model: SystemModel) -> tuple[FieldColor, ...]:
@@ -233,21 +217,17 @@ def _parse_colors(data, model: SystemModel) -> tuple[FieldColor, ...]:
         ion = _get(entry, "ion", int, ctx, default=0)
         if not 0 <= ion < len(model.ions):
             _fail(f"{ctx}.ion", f"references undefined ion {ion}")
+        if _get(entry, "detuning", float, ctx, default=0.0) != 0.0:
+            _fail(f"{ctx}.detuning", "only resonant colors are modeled; must be 0")
         sideband = _get(entry, "sideband", str, ctx, required=True)
         if sideband not in SIDEBANDS:
             _fail(f"{ctx}.sideband", f"must be one of {SIDEBANDS}")
+        rabi = _get(entry, "rabi", float, ctx, default=1.0)
+        phase = _get(entry, "phase", float, ctx, default=0.0)
         try:
-            colors.append(
-                FieldColor(
-                    target_ion=ion,
-                    sideband=sideband,
-                    rabi=_get(entry, "rabi", float, ctx, default=1.0),
-                    phase=_get(entry, "phase", float, ctx, default=0.0),
-                    detuning=_get(entry, "detuning", float, ctx, default=0.0),
-                )
-            )
+            colors.append(FieldColor(target_ion=ion, sideband=sideband, rabi=rabi, phase=phase))
         except ValueError as exc:
-            raise ScenarioError(f"{ctx}: {exc}") from exc
+            raise ScenarioError(f"{ctx}.{exc}") from exc
     return tuple(colors)
 
 
@@ -278,107 +258,66 @@ def _default_bell_spin(ion_count: int):
     return [["d" * ion_count, _BELL_AMP, 0.0], ["u" * ion_count, _BELL_AMP, 0.0]]
 
 
-_TASK_FIELDS = {
-    "zeros": ("degree", "order", "grid_points", "grid_max"),
-    "matelem": ("max_n",),
-    "graph": (),
-    "liealg": ("subspace", "tol", "max_dim"),
-    "evolve": ("initial", "samples_per_segment", "subspace"),
-    "laweberly": ("target",),
-    "optimize": (
-        "objective",
-        "target",
-        "target_spin",
-        "purity_floor",
-        "initial",
-        "omega_max",
-        "t_max",
-        "segments",
-        "population",
-        "elite",
-        "generations",
-        "mutation_scale",
-        "mutation_decay",
-        "mutation_floor",
-        "restart_after",
-    ),
+# smallest value of each integer or float task field that has one
+_MINIMUM = {
+    "degree": 1,
+    "order": 0,
+    "grid_points": 2,
+    "grid_max": 0,
+    "max_n": 0,
+    "max_dim": 1,
+    "samples_per_segment": 1,
 }
 
 
 def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
+    """Read one task's fields into params; the task accepts exactly the
+    keys its branch stores there."""
     kind = _get(data, "kind", str, "task", required=True)
     if kind not in TASKS:
         _fail("task.kind", f"must be one of {TASKS}")
-    _check_unknown(data, set(_TASK_FIELDS[kind]) | {"kind"}, "task")
     params = {}
     ctx = "task"
     if kind == "zeros":
-        degree = _get(data, "degree", int, ctx, required=True)
-        if degree < 1:
-            _fail("task.degree", "must be >= 1")
-        order = _get(data, "order", int, ctx, default=0)
-        if order < 0:
-            _fail("task.order", "must be >= 0")
-        params["degree"] = degree
-        params["order"] = order
+        params["degree"] = degree = _get(data, "degree", int, ctx, required=True)
+        params["order"] = order = _get(data, "order", int, ctx, default=0)
         params["grid_points"] = _get(data, "grid_points", int, ctx, default=200)
-        if params["grid_points"] < 2:
-            _fail("task.grid_points", "must be >= 2")
         params["grid_max"] = _get(
             data, "grid_max", float, ctx, default=float(4 * degree + 2 * order + 2)
         )
-        if params["grid_max"] < 0:
-            _fail("task.grid_max", "must be >= 0")
     elif kind == "matelem":
         params["max_n"] = _get(
             data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1
         )
-        if params["max_n"] < 0:
-            _fail("task.max_n", "must be >= 0")
-    elif kind == "graph":
-        pass
     elif kind == "liealg":
-        subspace = _get(data, "subspace", str, ctx, default="closed")
-        if subspace not in ("full", "closed"):
-            _fail("task.subspace", "must be 'full' or 'closed'")
-        params["subspace"] = subspace
+        params["subspace"] = _get(data, "subspace", str, ctx, default="closed")
         if "tol" in data:
             params["tol"] = _get(data, "tol", float, ctx)
             if params["tol"] <= 0:
                 _fail("task.tol", "must be positive")
         if "max_dim" in data:
             params["max_dim"] = _get(data, "max_dim", int, ctx)
-            if params["max_dim"] < 1:
-                _fail("task.max_dim", "must be >= 1")
     elif kind == "evolve":
         params["initial"] = data.get("initial", _default_ground_state(scenario_model))
         parse_state_spec(params["initial"], scenario_model.basis, "task.initial")
         params["samples_per_segment"] = _get(data, "samples_per_segment", int, ctx, default=20)
-        if params["samples_per_segment"] < 1:
-            _fail("task.samples_per_segment", "must be >= 1")
-        subspace = data.get("subspace")
-        if subspace is not None and subspace not in ("full", "closed"):
-            _fail("task.subspace", "must be 'full', 'closed' or omitted")
-        if subspace is not None:
-            params["subspace"] = subspace
+        if "subspace" in data:
+            params["subspace"] = _get(data, "subspace", str, ctx)
     elif kind == "laweberly":
-        target = _get(data, "target", list, ctx, required=True)
-        parse_state_spec(target, scenario_model.basis, "task.target")
-        params["target"] = target
+        params["target"] = _get(data, "target", list, ctx, required=True)
+        parse_state_spec(params["target"], scenario_model.basis, "task.target")
     elif kind == "optimize":
-        objective = _get(data, "objective", str, ctx, default="spin")
-        if objective not in ("state", "spin"):
-            _fail("task.objective", "must be 'state' or 'spin'")
-        params["objective"] = objective
+        params["objective"] = objective = _get(data, "objective", str, ctx, default="spin")
         if objective == "state":
-            target = _get(data, "target", list, ctx, required=True)
-            parse_state_spec(target, scenario_model.basis, "task.target")
-            params["target"] = target
-        else:
-            target_spin = data.get("target_spin", _default_bell_spin(scenario_model.basis.ion_count))
-            parse_spin_spec(target_spin, scenario_model.basis.ion_count, "task.target_spin")
-            params["target_spin"] = target_spin
+            params["target"] = _get(data, "target", list, ctx, required=True)
+            parse_state_spec(params["target"], scenario_model.basis, "task.target")
+        elif objective == "spin":
+            ion_count = scenario_model.basis.ion_count
+            params["target_spin"] = data.get("target_spin", _default_bell_spin(ion_count))
+            parse_spin_spec(params["target_spin"], ion_count, "task.target_spin")
             params["purity_floor"] = _get(data, "purity_floor", float, ctx, default=0.99)
+        else:
+            _fail("task.objective", "must be 'state' or 'spin'")
         params["initial"] = data.get("initial", _default_ground_state(scenario_model))
         parse_state_spec(params["initial"], scenario_model.basis, "task.initial")
         if not colors:
@@ -387,23 +326,21 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
             data, "omega_max", float, ctx, default=0.2 * scenario_model.trap.mode_freq
         )
         params["t_max"] = _get(data, "t_max", float, ctx, default=200.0)
-        params["segments"] = _get(data, "segments", int, ctx, default=1)
-        params["population"] = _get(data, "population", int, ctx, default=32)
-        params["elite"] = _get(data, "elite", int, ctx, default=8)
-        params["generations"] = _get(data, "generations", int, ctx, default=200)
-        params["mutation_scale"] = _get(data, "mutation_scale", float, ctx, default=0.25)
-        params["mutation_decay"] = _get(data, "mutation_decay", float, ctx, default=0.97)
-        params["mutation_floor"] = _get(data, "mutation_floor", float, ctx, default=0.005)
-        params["restart_after"] = _get(data, "restart_after", int, ctx, default=50)
-        for field in ("omega_max", "t_max"):
-            if params[field] <= 0:
-                _fail(f"task.{field}", "must be positive")
-        if not 1 <= params["segments"] <= 8:
-            _fail("task.segments", "must be between 1 and 8")
-        if not 0 < params["elite"] < params["population"]:
-            _fail("task.elite", f"must be between 1 and population - 1 ({params['population'] - 1})")
-        if params["generations"] < 1:
-            _fail("task.generations", "must be >= 1")
+        # the other search settings, their kinds and defaults are SearchConfig's
+        search_fields = fields(SearchConfig)
+        for f in search_fields:
+            if f.default is not MISSING:
+                params[f.name] = _get(data, f.name, type(f.default), ctx, default=f.default)
+        try:
+            SearchConfig(**{f.name: params[f.name] for f in search_fields})
+        except ValueError as exc:
+            raise ScenarioError(f"task.{exc}") from exc
+    _check_unknown(data, {"kind", *params}, "task")
+    for field, low in _MINIMUM.items():
+        if field in params and params[field] < low:
+            _fail(f"task.{field}", f"must be >= {low}")
+    if params.get("subspace", "full") not in ("full", "closed"):
+        _fail("task.subspace", "must be 'full' or 'closed'")
     return kind, params
 
 
@@ -419,20 +356,18 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a mapping at top level")
-    _check_unknown(data, {"seed", "output", "threshold", "model", "colors", "schedule", "task"}, "scenario")
+    _check_unknown(data, {"seed", "output", "threshold", "model", "colors", "schedule", "task"}, "")
 
-    model = _parse_model(_get(data, "model", dict, "scenario", required=True))
-    colors = _parse_colors(_get(data, "colors", list, "scenario", default=[]), model)
-    schedule_raw = data.get("schedule", {"segments": []})
-    if not isinstance(schedule_raw, dict):
-        _fail("schedule", "expected a mapping")
+    model = _parse_model(_get(data, "model", dict, "", required=True))
+    colors = _parse_colors(_get(data, "colors", list, "", default=[]), model)
+    schedule_raw = _get(data, "schedule", dict, "", default={})
     _check_unknown(schedule_raw, {"segments"}, "schedule")
     segments = _parse_segments(schedule_raw, len(colors))
-    task, task_params = _parse_task(_get(data, "task", dict, "scenario", required=True), model, colors)
+    task, task_params = _parse_task(_get(data, "task", dict, "", required=True), model, colors)
 
-    seed = _get(data, "seed", int, "scenario", default=0)
-    output = _get(data, "output", str, "scenario", default="out/scenario")
-    threshold = _get(data, "threshold", float, "scenario", default=1e-9)
+    seed = _get(data, "seed", int, "", default=0)
+    output = _get(data, "output", str, "", default="out/scenario")
+    threshold = _get(data, "threshold", float, "", default=1e-9)
     if threshold <= 0:
         _fail("threshold", "must be positive")
     return Scenario(

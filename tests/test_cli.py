@@ -305,6 +305,22 @@ task: {{kind: optimize, {setting}}}
                 ("generations: 0", "task.generations"),
             )
         ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier, detuning: 0.1}]
+task: {kind: graph}
+""",
+            "colors[0].detuning",
+        ),
+        (
+            """
+model: {ions: [{splitting: -1.0}], lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: graph}
+""",
+            "model.ions[0].splitting",
+        ),
     ],
     ids=[
         "nan_duration",
@@ -320,6 +336,8 @@ task: {{kind: optimize, {setting}}}
         "negative_omega_max",
         "zero_t_max",
         "zero_generations",
+        "nonzero_detuning",
+        "negative_splitting",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
@@ -328,6 +346,28 @@ def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
     assert field in capsys.readouterr().err
     assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_fields_of_the_other_objective_exit_2(tmp_path, capsys):
+    # a state objective has no spin target and no purity floor
+    scn = write(
+        tmp_path,
+        "conflict.yaml",
+        """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task:
+  kind: optimize
+  objective: state
+  target: [["uu", 0, 1.0, 0.0]]
+  target_spin: [["dd", 1.0, 0.0]]
+  purity_floor: 0.5
+""",
+    )
+    assert main(["validate", str(scn)]) == 2
+    assert "task.target_spin" in capsys.readouterr().err
+    assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
+    assert "task.target_spin" in capsys.readouterr().err
 
 
 def test_laweberly_task_emits_replayable_schedule(tmp_path):

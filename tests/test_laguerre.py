@@ -51,6 +51,14 @@ def test_invalid_arguments():
         laguerre_zeros(0, 0)
 
 
+@pytest.mark.parametrize("x", [np.nan, np.inf, [0.5, np.nan], [1.0, np.inf]])
+def test_non_finite_argument_rejected(x):
+    with pytest.raises(ValueError, match="finite"):
+        laguerre(3, 0, x)
+    with pytest.raises(ValueError, match="finite"):
+        laguerre_curve(3, 0, np.atleast_1d(x))
+
+
 def test_quadratic_roots_exact():
     roots = laguerre_zeros(2, 0)
     assert roots[0] == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-10)

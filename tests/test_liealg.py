@@ -164,8 +164,9 @@ class TestDynamicalLieAlgebra:
             (lambda: truncated_subsystem()[:2], None),
             (lambda: truncated_subsystem()[:2], 50),
             (lambda: ldl_ladder(8)[1:], None),
+            (lambda: ldl_ladder(10)[1:], None),
         ],
-        ids=["closed_14", "closed_14_max_dim_50", "ldl_8"],
+        ids=["closed_14", "closed_14_max_dim_50", "ldl_8", "ldl_10"],
     )
     def test_peak_memory_within_estimate(self, system, max_dim):
         drift, controls = system()
