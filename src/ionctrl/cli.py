@@ -209,7 +209,7 @@ def run_laweberly(scenario: Scenario) -> list[Path]:
     target = parse_state_spec(scenario.task_params["target"], model.basis, "task.target")
     schedule = law_eberly_sequence(model, target)
     replay = propagate(model, schedule, model.basis.vector(BasisState((SPIN_DOWN,), 0)))
-    fidelity = float(abs(np.vdot(target, replay.final)) ** 2)
+    fidelity = state_fidelity(replay.final, target)
     rows = [
         (
             i,

@@ -71,13 +71,6 @@ def _check_normalized(psi: np.ndarray, what: str = "state", tol: float = 1e-8) -
     return psi
 
 
-def _check_resonant(schedule: PulseSchedule) -> None:
-    for seg in schedule.segments:
-        for color in seg.colors:
-            if color.detuning != 0.0:
-                raise ValueError("propagation supports only resonant colors (detuning 0)")
-
-
 def segment_hamiltonian(model: SystemModel, segment: Segment) -> np.ndarray:
     """Rotating-frame Hamiltonian of one segment: sum over colors of
     rabi * (e^{i phase} K + h.c.) with K the color's raising operator."""
@@ -99,7 +92,6 @@ def propagate(
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
     psi = _check_normalized(psi0, "psi0")
-    _check_resonant(schedule)
     times = [0.0]
     states = [psi]
     t0 = 0.0
@@ -182,7 +174,6 @@ def propagate_timedep_oracle(
     result returned; a final-state shift above 1e-6 is an error.
     """
     psi = _check_normalized(psi0, "psi0")
-    _check_resonant(schedule)
     if dt <= 0 or dt * model.trap.mode_freq >= 0.05:
         raise ValueError("dt must satisfy dt * mode_freq < 0.05")
     samples = _oracle_final_state(model, schedule, psi, dt)
@@ -251,11 +242,9 @@ def _solve_pair_rotation(amp_from: complex, amp_to: complex, zero: str) -> tuple
     if zero == "to":
         theta = math.atan2(abs(amp_to), abs(amp_from))
         psi = np.angle(amp_to) - np.angle(amp_from) - np.pi / 2
-    elif zero == "from":
+    else:
         theta = math.atan2(abs(amp_from), abs(amp_to))
         psi = np.angle(amp_to) - np.angle(amp_from) + np.pi / 2
-    else:
-        raise ValueError("zero must be 'from' or 'to'")
     return theta, float(psi % (2 * np.pi))
 
 
@@ -266,7 +255,7 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
     Built by backward recursion: from the highest occupied phonon rung
     downward, a carrier rotation empties the up state of that rung and a
     red-sideband rotation moves the remaining down amplitude one rung
-    lower; reversing the inverted pulses yields the forward schedule.
+    lower; the forward schedule is the inverted pulses in reverse order.
     """
     if model.basis.ion_count != 1:
         raise ValueError("the alternating-pulse construction applies to one ion")
@@ -281,24 +270,19 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
     n_max = max(occupied) if occupied else 0
 
     state = target.copy()
-    backward: list[Segment] = []
+    forward: list[Segment] = []
 
     def apply_backward(sideband: str, pair_from: int, pair_to: int, zero: str) -> None:
+        if abs(state[pair_to if zero == "to" else pair_from]) < 1e-12:
+            return
         color = FieldColor(target_ion=0, sideband=sideband)
         kappa = coupling_strength(model, color, basis.state(pair_from).phonon)
-        amp_from, amp_to = state[pair_from], state[pair_to]
-        if abs(amp_from) < 1e-12 and abs(amp_to) < 1e-12:
-            return
-        if zero == "to" and abs(amp_to) < 1e-12:
-            return
-        if zero == "from" and abs(amp_from) < 1e-12:
-            return
         if abs(kappa) < 1e-12:
             raise ValueError(
                 f"{sideband} coupling vanishes at rung {basis.state(pair_from).phonon};"
                 " target unreachable with this Lamb-Dicke parameter"
             )
-        theta, psi = _solve_pair_rotation(amp_from, amp_to, zero)
+        theta, psi = _solve_pair_rotation(state[pair_from], state[pair_to], zero)
         if theta < 1e-14:
             return
         phase = float((psi - np.angle(kappa)) % (2 * np.pi))
@@ -307,8 +291,11 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
             colors=(FieldColor(target_ion=0, sideband=sideband, rabi=1.0, phase=phase),),
             duration=duration,
         )
-        backward.append(seg)
         state[:] = _evolve(segment_hamiltonian(model, seg), state, [duration])[0]
+        inverted = FieldColor(
+            target_ion=0, sideband=sideband, phase=float((phase + np.pi) % (2 * np.pi))
+        )
+        forward.append(Segment(colors=(inverted,), duration=duration))
 
     for m in range(n_max, 0, -1):
         # carrier pair (down,m) -> (up,m): empty the upper component
@@ -320,18 +307,7 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
     residual = 1.0 - abs(state[idx(SPIN_DOWN, 0)])
     if residual > 1e-8:
         raise ConvergenceError(f"backward recursion left residual {residual:.3e} outside |down,0>")
-
-    forward = []
-    for seg in reversed(backward):
-        color = seg.colors[0]
-        inverted = FieldColor(
-            target_ion=color.target_ion,
-            sideband=color.sideband,
-            rabi=color.rabi,
-            phase=float((color.phase + np.pi) % (2 * np.pi)),
-        )
-        forward.append(Segment(colors=(inverted,), duration=seg.duration))
-    return PulseSchedule(segments=tuple(forward))
+    return PulseSchedule(segments=tuple(reversed(forward)))
 
 
 def subspace_population(trajectory: Trajectory, subspace) -> np.ndarray:

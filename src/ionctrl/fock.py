@@ -118,17 +118,17 @@ def _displacement_block(eta: float, fock_cutoff: int, pad: int) -> np.ndarray:
     return u[:fock_cutoff, :fock_cutoff]
 
 
-def displacement_exact(eta: float, fock_cutoff: int, pad: int = 10) -> np.ndarray:
+def displacement_exact(eta: float, fock_cutoff: int) -> np.ndarray:
     """exp(i eta (a + a_dag)) restricted to the lowest fock_cutoff levels.
 
     Brute-force oracle: diagonalizes in an enlarged space of fock_cutoff
-    + pad levels and keeps the top-left block, growing the pad until a
-    further increase of 10 levels moves no entry by more than 1e-12.
+    + pad levels and keeps the top-left block, growing the pad from 10
+    until a further increase of 10 levels moves no entry by more than
+    1e-12.
     """
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    if pad < 0:
-        raise ValueError(f"pad must be nonnegative, got {pad}")
+    pad = 10
     block = _displacement_block(eta, fock_cutoff, pad)
     while True:
         bigger = _displacement_block(eta, fock_cutoff, pad + 10)

@@ -74,14 +74,13 @@ class IonConfig:
 
 @dataclass(frozen=True)
 class FieldColor:
-    """One resonant color: target ion, sideband kind, Rabi amplitude,
-    phase and detuning (zero in every propagated scenario)."""
+    """One resonant color: target ion, sideband kind, Rabi amplitude and
+    phase."""
 
     target_ion: int
     sideband: str
     rabi: float = 1.0
     phase: float = 0.0
-    detuning: float = 0.0
 
     def __post_init__(self):
         if self.sideband not in SIDEBANDS:
@@ -202,7 +201,5 @@ def build_drift(model: SystemModel) -> np.ndarray:
 
 def build_control(model: SystemModel, color: FieldColor) -> np.ndarray:
     """Hermitian coupling matrix of one color at unit Rabi, zero phase."""
-    if color.detuning != 0.0:
-        raise ValueError("only resonant colors (detuning 0) are modeled")
     k = control_raising(model, color)
     return k + k.conj().T

@@ -276,6 +276,10 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
     kind = _get(data, "kind", str, "task", required=True)
     if kind not in TASKS:
         _fail("task.kind", f"must be one of {TASKS}")
+    # every task but these builds dense d x d complex operators
+    dim = scenario_model.basis.dimension
+    if kind not in ("zeros", "matelem") and 16 * dim * dim > 2**30:
+        _fail("model.cutoff", f"a {dim}x{dim} complex operator would exceed 1 GiB")
     params = {}
     ctx = "task"
     if kind == "zeros":
@@ -304,6 +308,8 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
         if "subspace" in data:
             params["subspace"] = _get(data, "subspace", str, ctx)
     elif kind == "laweberly":
+        if scenario_model.basis.ion_count != 1:
+            _fail("model.ions", "laweberly applies to one ion")
         params["target"] = _get(data, "target", list, ctx, required=True)
         parse_state_spec(params["target"], scenario_model.basis, "task.target")
     elif kind == "optimize":
@@ -409,7 +415,8 @@ def emit_scenario(scenario: Scenario) -> str:
                 "sideband": c.sideband,
                 "rabi": c.rabi,
                 "phase": c.phase,
-                "detuning": c.detuning,
+                # every color is resonant; the key stays so scenario hashes do not move
+                "detuning": 0.0,
             }
             for c in scenario.colors
         ],

@@ -321,6 +321,13 @@ task: {kind: graph}
 """,
             "model.ions[0].splitting",
         ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: laweberly, target: [["dd", 0, 1.0, 0.0]]}
+""",
+            "model.ions",
+        ),
     ],
     ids=[
         "nan_duration",
@@ -338,6 +345,7 @@ task: {kind: graph}
         "zero_generations",
         "nonzero_detuning",
         "negative_splitting",
+        "two_ion_laweberly",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
@@ -346,6 +354,23 @@ def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
     assert field in capsys.readouterr().err
     assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
     assert field in capsys.readouterr().err
+
+
+# two ions: d = 4 * cutoff, and one d x d complex operator passes 1 GiB
+# above cutoff 2048; validate only, a run would build such operators
+@pytest.mark.parametrize("cutoff, code", [(2049, 2), (2048, 0)])
+def test_oversized_basis_refused_at_parse(tmp_path, capsys, cutoff, code):
+    scn = write(
+        tmp_path,
+        "big.yaml",
+        f"""
+model: {{ions: 2, lamb_dicke: 0.1, cutoff: {cutoff}}}
+colors: [{{ion: 0, sideband: carrier}}]
+task: {{kind: evolve}}
+""",
+    )
+    assert main(["validate", str(scn)]) == code
+    assert ("model.cutoff" in capsys.readouterr().err) == (code == 2)
 
 
 def test_fields_of_the_other_objective_exit_2(tmp_path, capsys):

@@ -98,9 +98,6 @@ class TestPropagate:
     def test_rejects_bad_inputs(self):
         model = one_ion(0.1, 4)
         psi0 = ground(model)
-        detuned = FieldColor(0, "carrier", detuning=0.3)
-        with pytest.raises(ValueError):
-            propagate(model, PulseSchedule((Segment((detuned,), 1.0),)), psi0)
         with pytest.raises(ValueError):
             propagate(model, PulseSchedule(()), 0.5 * psi0)
         with pytest.raises(ValueError):

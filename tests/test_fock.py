@@ -72,8 +72,6 @@ class TestDisplacementExact:
     def test_validation(self):
         with pytest.raises(ValueError):
             displacement_exact(-0.1, 5)
-        with pytest.raises(ValueError):
-            displacement_exact(0.1, 5, pad=-1)
 
 
 class TestDisplacementElement:

@@ -65,11 +65,6 @@ class TestConfigValidation:
                 basis=TruncatedBasis(1, 4),
             )
 
-    def test_detuned_color_rejected(self):
-        model = one_ion(0.1, 4)
-        with pytest.raises(ValueError):
-            build_control(model, FieldColor(target_ion=0, sideband="carrier", detuning=0.5))
-
     def test_color_outside_model(self):
         model = one_ion(0.1, 4)
         with pytest.raises(ValueError):

@@ -22,7 +22,6 @@ def test_minimal_scenario_fills_defaults():
     assert s.model.basis.fock_cutoff == 6
     assert not s.model.ldl
     assert s.colors[0].rabi == 1.0
-    assert s.colors[0].detuning == 0.0
     assert s.segments == ()
     assert s.task == "graph"
 

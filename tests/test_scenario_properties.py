@@ -48,7 +48,8 @@ def amplitudes(draw, ion_count, cutoff=None):
 
 @st.composite
 def documents(draw, kind):
-    ion_count = draw(st.sampled_from([1, 2]))
+    # the alternating-pulse construction of laweberly applies to one ion
+    ion_count = 1 if kind == "laweberly" else draw(st.sampled_from([1, 2]))
     cutoff = draw(st.integers(1, 6))
     model = {"cutoff": cutoff}
     if draw(st.booleans()):
