@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PulseSchedule, Segment, _check_normalized, propagate
-from .model import SystemModel
+from .dynamics import PulseSchedule, Segment, _check_normalized
+from .model import SystemModel, control_raising
 
 __all__ = [
     "state_fidelity",
@@ -55,10 +55,17 @@ def spin_fidelity(psi: np.ndarray, target_spin: np.ndarray, basis) -> tuple[floa
     if target_spin.shape != (spin_dim,):
         raise ValueError(f"target_spin must have dimension {spin_dim}")
     _check_normalized(target_spin, "target_spin")
-    amp = psi.reshape(spin_dim, basis.fock_cutoff)
-    rho = amp @ amp.conj().T
-    fidelity = float(np.real(target_spin.conj() @ rho @ target_spin))
-    purity = float(np.real(np.trace(rho @ rho)))
+    fidelity, purity = _spin_fidelity_purity(psi[None], target_spin, basis.fock_cutoff)
+    return float(fidelity[0]), float(purity[0])
+
+
+def _spin_fidelity_purity(psi: np.ndarray, target_spin: np.ndarray, fock_cutoff: int):
+    """Reduced-spin fidelity and purity of each row of a (P, d) stack of
+    states, unchecked."""
+    amp = psi.reshape(len(psi), -1, fock_cutoff)
+    rho = amp @ amp.conj().swapaxes(1, 2)
+    fidelity = np.real(np.einsum("i,pij,j->p", target_spin.conj(), rho, target_spin))
+    purity = np.real(np.einsum("pij,pji->p", rho, rho))
     return fidelity, purity
 
 
@@ -80,12 +87,30 @@ class Objective:
             raise ValueError(f"unknown objective kind {self.kind!r}")
         _check_normalized(self.initial, "initial state")
         _check_normalized(self.target, "target")
+        if not 0.0 <= self.purity_floor <= 1.0:
+            raise ValueError(f"purity_floor: must be between 0 and 1, got {self.purity_floor}")
 
     def score(self, psi: np.ndarray, basis) -> float:
+        psi = _check_normalized(psi, "psi")
+        if psi.shape != (basis.dimension,):
+            raise ValueError("psi does not live on the given basis")
+        self._check_basis(basis)
+        return float(self._scores(psi[None], basis)[0])
+
+    def _check_basis(self, basis) -> None:
+        if np.shape(self.initial) != (basis.dimension,):
+            raise ValueError(f"initial state must have dimension {basis.dimension}")
+        size = basis.dimension if self.kind == "state_fidelity" else 2**basis.ion_count
+        if np.shape(self.target) != (size,):
+            raise ValueError(f"target must have dimension {size}")
+
+    def _scores(self, psi: np.ndarray, basis) -> np.ndarray:
+        """Scores of each row of a (P, d) stack of normalized states."""
+        target = np.asarray(self.target, dtype=complex)
         if self.kind == "state_fidelity":
-            return state_fidelity(psi, self.target)
-        fid, purity = spin_fidelity(psi, self.target, basis)
-        return fid if purity >= self.purity_floor else fid * purity
+            return np.abs(psi @ target.conj()) ** 2
+        fid, purity = _spin_fidelity_purity(psi, target, basis.fock_cutoff)
+        return np.where(purity >= self.purity_floor, fid, fid * purity)
 
 
 @dataclass(frozen=True)
@@ -157,6 +182,68 @@ def _vector_to_params(x: np.ndarray, n_seg: int, n_colors: int) -> PulseParams:
     )
 
 
+def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: int):
+    """Score function of (P, 2*S*C + 1) parameter matrices: per-segment
+    amplitudes and phases for each color, then the total duration.
+
+    Every color flips one spin up or down, so every segment Hamiltonian
+    couples only the even and odd total-spin-parity sectors,
+    H = [[0, B], [B_dag, 0]].  With B = U S V_dag,
+    exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
+                 [-i V sin(St) U_dag, V cos(St) V_dag]],
+    so one stacked SVD of every (candidate, segment) B propagates the
+    whole population.  A candidate whose final state is not finite and
+    normalized scores -inf with a warning.
+    """
+    basis = model.basis
+    parity = np.array([bin(i // basis.fock_cutoff).count("1") % 2 for i in range(basis.dimension)])
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    raising = np.array([control_raising(model, color) for color in colors])
+    # B = sum_c rabi_c (e^{i phase_c} raise_c + e^{-i phase_c} lower_c) on the odd -> even block
+    blocks = np.concatenate(
+        [raising[:, even][:, :, odd], raising[:, odd][:, :, even].conj().swapaxes(1, 2)]
+    )
+    initial = np.asarray(objective.initial, dtype=complex)
+    n_colors = len(colors)
+    block = n_seg * n_colors
+
+    def final_states(x: np.ndarray) -> np.ndarray:
+        amp = (x[:, :block] * np.exp(1j * x[:, block : 2 * block])).reshape(-1, n_seg, n_colors)
+        coeff = np.concatenate([amp, amp.conj()], axis=2)
+        b = np.einsum("psc,cij->psij", coeff, blocks, optimize=True)
+        u, sigma, vh = np.linalg.svd(b)
+        uh, v = u.conj().swapaxes(2, 3), vh.conj().swapaxes(2, 3)
+        theta = sigma[..., None] * (x[:, -1, None, None, None] / n_seg)
+        cos, sin = np.cos(theta), np.sin(theta)
+        # column vectors per candidate, (P, sector, 1)
+        psi_even, psi_odd = initial[even, None], initial[odd, None]
+        for s in range(n_seg):
+            a, c = uh[:, s] @ psi_even, vh[:, s] @ psi_odd
+            psi_even = u[:, s] @ (cos[:, s] * a - 1j * sin[:, s] * c)
+            psi_odd = v[:, s] @ (cos[:, s] * c - 1j * sin[:, s] * a)
+        psi = np.empty((len(x), basis.dimension), dtype=complex)
+        psi[:, even], psi[:, odd] = psi_even[..., 0], psi_odd[..., 0]
+        return psi
+
+    def score(x: np.ndarray) -> np.ndarray:
+        try:
+            psi = final_states(x)
+        except np.linalg.LinAlgError as exc:
+            if len(x) > 1:
+                return np.concatenate([score(row[None]) for row in x])
+            log.warning("discarding candidate: %s", exc)
+            return np.array([-np.inf])
+        norm = np.linalg.norm(psi, axis=1)
+        kept = np.abs(norm - 1.0) <= 1e-8
+        for value in norm[~kept]:
+            log.warning("discarding candidate: final state is not normalized (norm %s)", value)
+        scores = np.full(len(x), -np.inf)
+        scores[kept] = objective._scores(psi[kept], basis)
+        return scores
+
+    return score
+
+
 def optimize(
     model: SystemModel,
     colors,
@@ -178,6 +265,7 @@ def optimize(
         raise ValueError("need at least one color to optimize")
     for color in colors:
         model.check_color(color)
+    objective._check_basis(model.basis)
     rng = np.random.default_rng(seed)
     n_seg, n_colors = search.segments, len(colors)
     block = n_seg * n_colors
@@ -200,17 +288,9 @@ def optimize(
     def sample() -> np.ndarray:
         return lower + span * rng.random(dim)
 
-    def evaluate(x: np.ndarray) -> float:
-        params = _vector_to_params(x, n_seg, n_colors)
-        try:
-            traj = propagate(model, params.to_schedule(colors), objective.initial)
-        except (ValueError, RuntimeError) as exc:
-            log.warning("discarding candidate: %s", exc)
-            return -np.inf
-        return objective.score(traj.final, model.basis)
-
+    evaluate = _population_scorer(model, colors, objective, n_seg)
     population = np.array([sample() for _ in range(search.population)])
-    scores = np.array([evaluate(x) for x in population])
+    scores = evaluate(population)
 
     best_idx = int(np.argmax(scores))
     best_x = population[best_idx].copy()
@@ -231,7 +311,7 @@ def optimize(
             child = np.where(mask, elites[pa], elites[pb])
             child = child + rng.standard_normal(dim) * scale * span
             children.append(clip(child))
-        child_scores = np.array([evaluate(x) for x in children])
+        child_scores = evaluate(np.array(children))
 
         population = np.vstack([elites, children])
         scores = np.concatenate([elite_scores, child_scores])
@@ -255,7 +335,7 @@ def optimize(
         scale = max(scale * search.mutation_decay, search.mutation_floor)
         if stagnant >= search.restart_after:
             population = np.array([best_x] + [sample() for _ in range(search.population - 1)])
-            scores = np.array([best_score] + [evaluate(x) for x in population[1:]])
+            scores = np.concatenate([[best_score], evaluate(population[1:])])
             scale = search.mutation_scale
             stagnant = 0
 

@@ -25,6 +25,9 @@ TASKS = ("zeros", "matelem", "graph", "liealg", "evolve", "laweberly", "optimize
 
 _BELL_AMP = float(1.0 / np.sqrt(2.0))
 
+# rows a matelem task may write, about 68 MB of CSV
+_MAX_MATELEM_ROWS = 2**20
+
 
 class ScenarioError(ValueError):
     """Parse or validation failure, naming the offending field."""
@@ -290,9 +293,14 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
             data, "grid_max", float, ctx, default=float(4 * degree + 2 * order + 2)
         )
     elif kind == "matelem":
-        params["max_n"] = _get(
+        params["max_n"] = max_n = _get(
             data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1
         )
+        if max_n >= 0 and (max_n + 1) ** 2 > _MAX_MATELEM_ROWS:
+            _fail(
+                "task.max_n" if "max_n" in data else "model.cutoff",
+                f"{(max_n + 1) ** 2} matrix elements exceed the {_MAX_MATELEM_ROWS}-row limit",
+            )
     elif kind == "liealg":
         params["subspace"] = _get(data, "subspace", str, ctx, default="closed")
         if "tol" in data:
@@ -321,7 +329,9 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
             ion_count = scenario_model.basis.ion_count
             params["target_spin"] = data.get("target_spin", _default_bell_spin(ion_count))
             parse_spin_spec(params["target_spin"], ion_count, "task.target_spin")
-            params["purity_floor"] = _get(data, "purity_floor", float, ctx, default=0.99)
+            params["purity_floor"] = floor = _get(data, "purity_floor", float, ctx, default=0.99)
+            if not 0.0 <= floor <= 1.0:
+                _fail("task.purity_floor", "must be between 0 and 1")
         else:
             _fail("task.objective", "must be 'state' or 'spin'")
         params["initial"] = data.get("initial", _default_ground_state(scenario_model))

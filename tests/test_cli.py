@@ -328,6 +328,30 @@ task: {kind: laweberly, target: [["dd", 0, 1.0, 0.0]]}
 """,
             "model.ions",
         ),
+        (
+            # (1024 + 1)^2 rows pass the 2^20-row limit
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: matelem, max_n: 1024}
+""",
+            "task.max_n",
+        ),
+        (
+            # max_n defaults to cutoff - 1
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 1025}
+task: {kind: matelem}
+""",
+            "model.cutoff",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, purity_floor: 1.5}
+""",
+            "task.purity_floor",
+        ),
     ],
     ids=[
         "nan_duration",
@@ -346,6 +370,9 @@ task: {kind: laweberly, target: [["dd", 0, 1.0, 0.0]]}
         "nonzero_detuning",
         "negative_splitting",
         "two_ion_laweberly",
+        "matelem_max_n_rows",
+        "matelem_default_max_n_rows",
+        "purity_floor_above_one",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
@@ -371,6 +398,21 @@ task: {{kind: evolve}}
     )
     assert main(["validate", str(scn)]) == code
     assert ("model.cutoff" in capsys.readouterr().err) == (code == 2)
+
+
+# (max_n + 1)^2 matrix elements may not pass 2^20 rows; validate only
+@pytest.mark.parametrize("max_n, code", [(1024, 2), (1023, 0)])
+def test_matelem_row_limit_refused_at_parse(tmp_path, capsys, max_n, code):
+    scn = write(
+        tmp_path,
+        "rows.yaml",
+        f"""
+model: {{ions: 1, lamb_dicke: 0.1, cutoff: 4}}
+task: {{kind: matelem, max_n: {max_n}}}
+""",
+    )
+    assert main(["validate", str(scn)]) == code
+    assert ("task.max_n" in capsys.readouterr().err) == (code == 2)
 
 
 def test_fields_of_the_other_objective_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Static checks on the package source: exported names resolve, no
-module imports a name it never uses, and every private module-level name
-is used somewhere in the package."""
+module imports a name it never uses, every private module-level name
+is used somewhere in the package, and each matrix decomposition has one
+call site."""
 
 import ast
 import importlib
@@ -93,3 +94,26 @@ def test_private_names_are_used():
         if not any(private in loaded_names(s) for s in statements if s is not definition)
     ]
     assert unused == []
+
+
+def test_one_call_site_per_decomposition():
+    """`np.linalg.eigh`, `eigvalsh` and `svd` are each called in exactly one
+    place: the Hermitian exponential, the Laguerre zeros and the search's
+    population scorer."""
+    sites = {"eigh": [], "eigvalsh": [], "svd": []}
+    for name in MODULES:
+        for top in parse(name).body:
+            for node in ast.walk(top):
+                func = node.func if isinstance(node, ast.Call) else None
+                if (
+                    isinstance(func, ast.Attribute)
+                    and func.attr in sites
+                    and isinstance(func.value, ast.Attribute)
+                    and func.value.attr == "linalg"
+                ):
+                    sites[func.attr].append(f"{name}.{getattr(top, 'name', '<module>')}")
+    assert sites == {
+        "eigh": ["fock._evolve"],
+        "eigvalsh": ["laguerre.laguerre_zeros"],
+        "svd": ["optimize._population_scorer"],
+    }

@@ -136,6 +136,9 @@ class TestObjective:
             Objective(kind="other", target=ground, initial=ground)
         with pytest.raises(ValueError):
             Objective(kind="state_fidelity", target=2 * ground, initial=ground)
+        for floor in (-3.0, 7.0, 1.5):
+            with pytest.raises(ValueError, match="purity_floor"):
+                Objective(kind="spin_fidelity", target=ground[:4], initial=ground, purity_floor=floor)
 
 
 def _state(second=0.0):
@@ -169,6 +172,7 @@ def _state(second=0.0):
         lambda: TrapConfig(1.0, 0.1, mode_weights=(np.nan,)),
         lambda: IonConfig(qubit_splitting=np.nan),
         lambda: Segment((FieldColor(0, "carrier"),), np.inf),
+        lambda: Objective("spin_fidelity", np.array([1.0, 0.0]), _state(), purity_floor=np.nan),
     ],
     ids=[
         "propagate_psi0",
@@ -187,6 +191,7 @@ def _state(second=0.0):
         "trap_mode_weights",
         "ion_qubit_splitting",
         "segment_duration_inf",
+        "objective_purity_floor",
     ],
 )
 def test_nan_input_raises_value_error(call):
@@ -233,6 +238,20 @@ class TestOptimize:
         assert score >= 0.999
         replay = propagate(model, params.to_schedule(colors), psi0)
         assert state_fidelity(replay.final, target) == pytest.approx(score, abs=1e-9)
+
+    def test_objective_off_the_model_basis_rejected(self):
+        model = one_ion(0.1, 4, ldl=True)
+        ground = basis_vec(model.basis, (0,), 0)
+        cfg = SearchConfig(omega_max=0.5, t_max=20.0, generations=2)
+        colors = [FieldColor(0, "carrier")]
+        wider = np.concatenate([ground, np.zeros(8)])
+        for objective in (
+            Objective(kind="state_fidelity", target=wider, initial=wider),
+            Objective(kind="state_fidelity", target=wider, initial=ground),
+            Objective(kind="spin_fidelity", target=np.array([1, 0, 0, 0.0]), initial=ground),
+        ):
+            with pytest.raises(ValueError, match="dimension"):
+                optimize(model, colors, objective, cfg, seed=0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

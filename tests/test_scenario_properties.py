@@ -192,7 +192,7 @@ OUT_OF_RANGE = {
     "task.max_dim": 0,
     "task.samples_per_segment": 0,
     "task.objective": "both",
-    "task.purity_floor": None,
+    "task.purity_floor": 1.5,
     "task.omega_max": 0.0,
     "task.t_max": -1.0,
     "task.segments": 9,
