@@ -37,7 +37,12 @@ def state_fidelity(psi: np.ndarray, target: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {psi.shape} vs {target.shape}")
     _check_normalized(psi, "psi")
     _check_normalized(target, "target")
-    return float(abs(np.vdot(target, psi)) ** 2)
+    return float(_overlaps(psi[None], target)[0])
+
+
+def _overlaps(psi: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """|<target|psi>|^2 of each row of a (P, d) stack of states, unchecked."""
+    return np.abs(psi @ target.conj()) ** 2
 
 
 def spin_fidelity(psi: np.ndarray, target_spin: np.ndarray, basis) -> tuple[float, float]:
@@ -91,11 +96,9 @@ class Objective:
             raise ValueError(f"purity_floor: must be between 0 and 1, got {self.purity_floor}")
 
     def score(self, psi: np.ndarray, basis) -> float:
-        psi = _check_normalized(psi, "psi")
-        if psi.shape != (basis.dimension,):
-            raise ValueError("psi does not live on the given basis")
-        self._check_basis(basis)
-        return float(self._scores(psi[None], basis)[0])
+        if self.kind == "state_fidelity":
+            return state_fidelity(psi, self.target)
+        return float(self._floored(*spin_fidelity(psi, self.target, basis)))
 
     def _check_basis(self, basis) -> None:
         if np.shape(self.initial) != (basis.dimension,):
@@ -104,13 +107,15 @@ class Objective:
         if np.shape(self.target) != (size,):
             raise ValueError(f"target must have dimension {size}")
 
+    def _floored(self, fidelity, purity):
+        return np.where(purity >= self.purity_floor, fidelity, fidelity * purity)
+
     def _scores(self, psi: np.ndarray, basis) -> np.ndarray:
         """Scores of each row of a (P, d) stack of normalized states."""
         target = np.asarray(self.target, dtype=complex)
         if self.kind == "state_fidelity":
-            return np.abs(psi @ target.conj()) ** 2
-        fid, purity = _spin_fidelity_purity(psi, target, basis.fock_cutoff)
-        return np.where(purity >= self.purity_floor, fid, fid * purity)
+            return _overlaps(psi, target)
+        return self._floored(*_spin_fidelity_purity(psi, target, basis.fock_cutoff))
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,12 @@ def _vector_to_params(x: np.ndarray, n_seg: int, n_colors: int) -> PulseParams:
     )
 
 
+# Bytes of one stacked (rows, d/2, d/2) block the population scorer holds
+# at a time; its SVD factors and workspace take about three times as much
+# again.  Larger populations are scored in row chunks.
+_CHUNK_BYTES = 64 * 2**20
+
+
 def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: int):
     """Score function of (P, 2*S*C + 1) parameter matrices: per-segment
     amplitudes and phases for each color, then the total duration.
@@ -191,41 +202,43 @@ def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: 
     H = [[0, B], [B_dag, 0]].  With B = U S V_dag,
     exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
                  [-i V sin(St) U_dag, V cos(St) V_dag]],
-    so one stacked SVD of every (candidate, segment) B propagates the
-    whole population.  A candidate whose final state is not finite and
-    normalized scores -inf with a warning.
+    so one stacked SVD per segment propagates a whole chunk of candidates,
+    as many as fit _CHUNK_BYTES.  A candidate whose final state is not
+    finite and normalized scores -inf with a warning.
     """
     basis = model.basis
     parity = np.array([bin(i // basis.fock_cutoff).count("1") % 2 for i in range(basis.dimension)])
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    raising = np.array([control_raising(model, color) for color in colors])
+    half, n_colors = len(even), len(colors)
+    raising = [control_raising(model, color) for color in colors]
     # B = sum_c rabi_c (e^{i phase_c} raise_c + e^{-i phase_c} lower_c) on the odd -> even block
-    blocks = np.concatenate(
-        [raising[:, even][:, :, odd], raising[:, odd][:, :, even].conj().swapaxes(1, 2)]
-    )
+    blocks = np.array(
+        [k[np.ix_(even, odd)] for k in raising] + [k[np.ix_(odd, even)].conj().T for k in raising]
+    ).reshape(2 * n_colors, half * half)
     initial = np.asarray(objective.initial, dtype=complex)
-    n_colors = len(colors)
     block = n_seg * n_colors
+    rows = max(1, _CHUNK_BYTES // (16 * half * half))
 
     def final_states(x: np.ndarray) -> np.ndarray:
         amp = (x[:, :block] * np.exp(1j * x[:, block : 2 * block])).reshape(-1, n_seg, n_colors)
         coeff = np.concatenate([amp, amp.conj()], axis=2)
-        b = np.einsum("psc,cij->psij", coeff, blocks, optimize=True)
-        u, sigma, vh = np.linalg.svd(b)
-        uh, v = u.conj().swapaxes(2, 3), vh.conj().swapaxes(2, 3)
-        theta = sigma[..., None] * (x[:, -1, None, None, None] / n_seg)
-        cos, sin = np.cos(theta), np.sin(theta)
+        step = x[:, -1, None, None] / n_seg
         # column vectors per candidate, (P, sector, 1)
         psi_even, psi_odd = initial[even, None], initial[odd, None]
         for s in range(n_seg):
-            a, c = uh[:, s] @ psi_even, vh[:, s] @ psi_odd
-            psi_even = u[:, s] @ (cos[:, s] * a - 1j * sin[:, s] * c)
-            psi_odd = v[:, s] @ (cos[:, s] * c - 1j * sin[:, s] * a)
+            u, sigma, vh = np.linalg.svd((coeff[:, s] @ blocks).reshape(-1, half, half))
+            theta = sigma[..., None] * step
+            cos, sin = np.cos(theta), np.sin(theta)
+            a, c = u.conj().swapaxes(1, 2) @ psi_even, vh @ psi_odd
+            psi_even = u @ (cos * a - 1j * sin * c)
+            psi_odd = vh.conj().swapaxes(1, 2) @ (cos * c - 1j * sin * a)
         psi = np.empty((len(x), basis.dimension), dtype=complex)
         psi[:, even], psi[:, odd] = psi_even[..., 0], psi_odd[..., 0]
         return psi
 
     def score(x: np.ndarray) -> np.ndarray:
+        if len(x) > rows:
+            return np.concatenate([score(x[i : i + rows]) for i in range(0, len(x), rows)])
         try:
             psi = final_states(x)
         except np.linalg.LinAlgError as exc:

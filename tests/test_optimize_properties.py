@@ -6,6 +6,7 @@ stacked parity-block scorer gives every candidate the score that
 `propagate` and `Objective.score` give it one by one.
 """
 
+import importlib
 import logging
 
 import numpy as np
@@ -25,6 +26,9 @@ from ionctrl import (
     propagate,
 )
 from ionctrl.optimize import _population_scorer, _vector_to_params
+
+# the package's `optimize` attribute is the search function, not this module
+optimize_module = importlib.import_module("ionctrl.optimize")
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
 
@@ -116,6 +120,24 @@ def test_non_finite_row_is_discarded_alone(caplog, column, tol):
     assert scores[2] == -np.inf
     assert np.all(np.isfinite(clean))
     assert np.max(np.abs(np.delete(scores, 2) - np.delete(clean, 2))) <= tol
+
+
+def test_population_is_scored_in_row_chunks(monkeypatch):
+    model, colors, objective = bell_problem()
+    rng = np.random.default_rng(9)
+    x = np.hstack(
+        [0.2 * rng.random((5, 6)), 2 * np.pi * rng.random((5, 6)), 50 * rng.random((5, 1))]
+    )
+    whole = _population_scorer(model, colors, objective, 2)(x)
+    # a budget of two (d/2 x d/2) blocks: three chunks, one SVD per chunk and segment
+    half = model.basis.dimension // 2
+    monkeypatch.setattr(optimize_module, "_CHUNK_BYTES", 2 * 16 * half**2)
+    stacks = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda b: stacks.append(len(b)) or svd(b))
+    chunked = _population_scorer(model, colors, objective, 2)(x)
+    assert stacks == [2, 2, 2, 2, 1, 1]
+    assert np.max(np.abs(chunked - whole)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["state", "spin"])
