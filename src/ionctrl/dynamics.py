@@ -71,15 +71,43 @@ def _check_normalized(psi: np.ndarray, what: str = "state", tol: float = 1e-8) -
     return psi
 
 
-def segment_hamiltonian(model: SystemModel, segment: Segment) -> np.ndarray:
-    """Rotating-frame Hamiltonian of one segment: sum over colors of
-    rabi * (e^{i phase} K + h.c.) with K the color's raising operator."""
-    dim = model.basis.dimension
-    h = np.zeros((dim, dim), dtype=complex)
-    for color in segment.colors:
-        k = control_raising(model, color)
-        h += color.rabi * np.exp(1j * color.phase) * k
-    return h + h.conj().T
+def _parity_blocks(model: SystemModel, colors):
+    """Even and odd spin-parity basis indices, and each color's raising
+    then lowering odd -> even blocks as rows of a (2C, d/2 * d/2) array."""
+    basis = model.basis
+    parity = np.repeat([bin(s).count("1") % 2 for s in range(2**basis.ion_count)], basis.fock_cutoff)
+    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+    raising = [control_raising(model, color) for color in colors]
+    blocks = np.array(
+        [k[even[:, None], odd] for k in raising] + [k[odd[:, None], even].conj().T for k in raising]
+    ).reshape(2 * len(raising), len(even) * len(odd))
+    return even, odd, blocks
+
+
+def _parity_propagate(even, odd, blocks, amp, taus, psi) -> np.ndarray:
+    """Evolve the (d,) or (P, d) states psi through S resonant segments of
+    (P, S, C) color amplitudes, sampling each at the (P, K) times taus,
+    the last one its duration; returns the (P, K, d) last-segment samples.
+
+    Every color flips one spin, so H = [[0, B], [B_dag, 0]] on the even
+    and odd sectors, B = sum_c amp_c raise_c + conj(amp_c) lower_c.  With
+    B = U S V_dag, one stacked SVD per segment serves every state and time:
+    exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
+                 [-i V sin(St) U_dag, V cos(St) V_dag]].
+    """
+    coeff = np.concatenate([amp, amp.conj()], axis=2)
+    # column vectors per state, (P, sector, K)
+    psi_even, psi_odd = psi[..., even, None], psi[..., odd, None]
+    for s in range(coeff.shape[1]):
+        u, sigma, vh = np.linalg.svd((coeff[:, s] @ blocks).reshape(-1, len(even), len(odd)))
+        theta = sigma[..., None] * taus[:, None, :]
+        cos, sin = np.cos(theta), np.sin(theta)
+        a, c = u.conj().swapaxes(1, 2) @ psi_even[..., -1:], vh @ psi_odd[..., -1:]
+        psi_even = u @ (cos * a - 1j * sin * c)
+        psi_odd = vh.conj().swapaxes(1, 2) @ (cos * c - 1j * sin * a)
+    out = np.empty(psi_even.shape[:-2] + (taus.shape[1], len(even) + len(odd)), dtype=complex)
+    out[..., even], out[..., odd] = psi_even.swapaxes(-1, -2), psi_odd.swapaxes(-1, -2)
+    return out
 
 
 def propagate(
@@ -91,18 +119,15 @@ def propagate(
     """Evolve psi0 through the schedule, sampling each segment uniformly."""
     if samples_per_segment < 1:
         raise ValueError("samples_per_segment must be >= 1")
-    psi = _check_normalized(psi0, "psi0")
-    times = [0.0]
-    states = [psi]
-    t0 = 0.0
+    if np.shape(psi0) != (model.basis.dimension,):
+        raise ValueError(f"psi0 must have dimension {model.basis.dimension}")
+    times, states, t0 = [0.0], [_check_normalized(psi0, "psi0")], 0.0
     for seg in schedule.segments:
-        h = segment_hamiltonian(model, seg)
+        amp = np.array([[[c.rabi * np.exp(1j * c.phase) for c in seg.colors]]], dtype=complex)
         taus = seg.duration * np.arange(1, samples_per_segment + 1) / samples_per_segment
-        samples = _evolve(h, psi, taus)
-        for tau, st in zip(taus, samples):
-            times.append(t0 + tau)
-            states.append(st)
-        psi = samples[-1]
+        sectors = _parity_blocks(model, seg.colors)
+        states.extend(_parity_propagate(*sectors, amp, taus[None], states[-1])[0])
+        times.extend(t0 + taus)
         t0 += seg.duration
     return Trajectory(times=np.array(times), states=np.array(states))
 
@@ -287,15 +312,10 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
             return
         phase = float((psi - np.angle(kappa)) % (2 * np.pi))
         duration = theta / abs(kappa)
-        seg = Segment(
-            colors=(FieldColor(target_ion=0, sideband=sideband, rabi=1.0, phase=phase),),
-            duration=duration,
-        )
-        state[:] = _evolve(segment_hamiltonian(model, seg), state, [duration])[0]
-        inverted = FieldColor(
-            target_ion=0, sideband=sideband, phase=float((phase + np.pi) % (2 * np.pi))
-        )
-        forward.append(Segment(colors=(inverted,), duration=duration))
+        seg = Segment((FieldColor(0, sideband, phase=phase),), duration)
+        state[:] = propagate(model, PulseSchedule((seg,)), state).final
+        inverted = FieldColor(0, sideband, phase=float((phase + np.pi) % (2 * np.pi)))
+        forward.append(Segment((inverted,), duration))
 
     for m in range(n_max, 0, -1):
         # carrier pair (down,m) -> (up,m): empty the upper component

@@ -1,5 +1,5 @@
-"""Truncated qubit/oscillator basis, displacement elements and the Hermitian
-exponential the other modules propagate with.
+"""Truncated qubit/oscillator basis, displacement elements and the dense
+Hermitian exponential of the oracles and the split-product defect.
 
 Basis convention: spin index 0 is down, 1 is up.  States are enumerated
 spins-major, phonon-minor, so the flat index of |s_1 .. s_k, n> is

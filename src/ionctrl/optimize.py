@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import PulseSchedule, Segment, _check_normalized
-from .model import SystemModel, control_raising
+from .dynamics import PulseSchedule, Segment, _check_normalized, _parity_blocks, _parity_propagate
+from .model import SystemModel
 
 __all__ = [
     "state_fidelity",
@@ -164,8 +164,14 @@ class SearchConfig:
             raise ValueError(
                 f"elite: must be between 1 and population - 1 ({self.population - 1})"
             )
-        if self.generations < 1:
-            raise ValueError("generations: must be >= 1")
+        for name in ("mutation_scale", "mutation_floor"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name}: must be nonnegative and finite")
+        if not 0 <= self.mutation_decay <= 1:
+            raise ValueError("mutation_decay: must be between 0 and 1")
+        for name in ("generations", "restart_after"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name}: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -195,63 +201,32 @@ _CHUNK_BYTES = 64 * 2**20
 
 def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: int):
     """Score function of (P, 2*S*C + 1) parameter matrices: per-segment
-    amplitudes and phases for each color, then the total duration.
-
-    Every color flips one spin up or down, so every segment Hamiltonian
-    couples only the even and odd total-spin-parity sectors,
-    H = [[0, B], [B_dag, 0]].  With B = U S V_dag,
-    exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
-                 [-i V sin(St) U_dag, V cos(St) V_dag]],
-    so one stacked SVD per segment propagates a whole chunk of candidates,
-    as many as fit _CHUNK_BYTES.  A candidate whose final state is not
-    finite and normalized scores -inf with a warning.
-    """
-    basis = model.basis
-    parity = np.array([bin(i // basis.fock_cutoff).count("1") % 2 for i in range(basis.dimension)])
-    even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    half, n_colors = len(even), len(colors)
-    raising = [control_raising(model, color) for color in colors]
-    # B = sum_c rabi_c (e^{i phase_c} raise_c + e^{-i phase_c} lower_c) on the odd -> even block
-    blocks = np.array(
-        [k[np.ix_(even, odd)] for k in raising] + [k[np.ix_(odd, even)].conj().T for k in raising]
-    ).reshape(2 * n_colors, half * half)
+    amplitudes and phases for each color, then the total duration.  Rows
+    go through `_parity_propagate` in chunks that fit _CHUNK_BYTES, on
+    parity blocks built once; a row whose final state is not finite and
+    normalized scores -inf with a warning."""
+    sectors = _parity_blocks(model, colors)
     initial = np.asarray(objective.initial, dtype=complex)
-    block = n_seg * n_colors
-    rows = max(1, _CHUNK_BYTES // (16 * half * half))
-
-    def final_states(x: np.ndarray) -> np.ndarray:
-        amp = (x[:, :block] * np.exp(1j * x[:, block : 2 * block])).reshape(-1, n_seg, n_colors)
-        coeff = np.concatenate([amp, amp.conj()], axis=2)
-        step = x[:, -1, None, None] / n_seg
-        # column vectors per candidate, (P, sector, 1)
-        psi_even, psi_odd = initial[even, None], initial[odd, None]
-        for s in range(n_seg):
-            u, sigma, vh = np.linalg.svd((coeff[:, s] @ blocks).reshape(-1, half, half))
-            theta = sigma[..., None] * step
-            cos, sin = np.cos(theta), np.sin(theta)
-            a, c = u.conj().swapaxes(1, 2) @ psi_even, vh @ psi_odd
-            psi_even = u @ (cos * a - 1j * sin * c)
-            psi_odd = vh.conj().swapaxes(1, 2) @ (cos * c - 1j * sin * a)
-        psi = np.empty((len(x), basis.dimension), dtype=complex)
-        psi[:, even], psi[:, odd] = psi_even[..., 0], psi_odd[..., 0]
-        return psi
+    block = n_seg * len(colors)
+    rows = max(1, _CHUNK_BYTES // (4 * model.basis.dimension**2))
 
     def score(x: np.ndarray) -> np.ndarray:
         if len(x) > rows:
             return np.concatenate([score(x[i : i + rows]) for i in range(0, len(x), rows)])
+        amp = (x[:, :block] * np.exp(1j * x[:, block : 2 * block])).reshape(-1, n_seg, len(colors))
         try:
-            psi = final_states(x)
+            psi = _parity_propagate(*sectors, amp, x[:, -1, None] / n_seg, initial)[:, -1]
         except np.linalg.LinAlgError as exc:
             if len(x) > 1:
                 return np.concatenate([score(row[None]) for row in x])
             log.warning("discarding candidate: %s", exc)
             return np.array([-np.inf])
-        norm = np.linalg.norm(psi, axis=1)
+        norm = np.sqrt(np.sum(np.abs(psi) ** 2, axis=1))
         kept = np.abs(norm - 1.0) <= 1e-8
         for value in norm[~kept]:
             log.warning("discarding candidate: final state is not normalized (norm %s)", value)
         scores = np.full(len(x), -np.inf)
-        scores[kept] = objective._scores(psi[kept], basis)
+        scores[kept] = objective._scores(psi[kept], model.basis)
         return scores
 
     return score

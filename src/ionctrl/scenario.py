@@ -25,8 +25,8 @@ TASKS = ("zeros", "matelem", "graph", "liealg", "evolve", "laweberly", "optimize
 
 _BELL_AMP = float(1.0 / np.sqrt(2.0))
 
-# rows a matelem task may write, about 68 MB of CSV
-_MAX_MATELEM_ROWS = 2**20
+# rows any task may write or hold; 2^20 matelem rows are about 68 MB of CSV
+_MAX_ROWS = 2**20
 
 
 class ScenarioError(ValueError):
@@ -273,7 +273,7 @@ _MINIMUM = {
 }
 
 
-def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
+def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> tuple[str, dict]:
     """Read one task's fields into params; the task accepts exactly the
     keys its branch stores there."""
     kind = _get(data, "kind", str, "task", required=True)
@@ -293,14 +293,7 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
             data, "grid_max", float, ctx, default=float(4 * degree + 2 * order + 2)
         )
     elif kind == "matelem":
-        params["max_n"] = max_n = _get(
-            data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1
-        )
-        if max_n >= 0 and (max_n + 1) ** 2 > _MAX_MATELEM_ROWS:
-            _fail(
-                "task.max_n" if "max_n" in data else "model.cutoff",
-                f"{(max_n + 1) ** 2} matrix elements exceed the {_MAX_MATELEM_ROWS}-row limit",
-            )
+        params["max_n"] = _get(data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1)
     elif kind == "liealg":
         params["subspace"] = _get(data, "subspace", str, ctx, default="closed")
         if "tol" in data:
@@ -355,6 +348,17 @@ def _parse_task(data, scenario_model: SystemModel, colors) -> tuple[str, dict]:
     for field, low in _MINIMUM.items():
         if field in params and params[field] < low:
             _fail(f"task.{field}", f"must be >= {low}")
+    rows = {
+        "grid_points": params.get("grid_points"),
+        "max_n": (params.get("max_n", 0) + 1) ** 2,
+        "samples_per_segment": (1 + n_segments * params.get("samples_per_segment", 0)) * dim,
+        "generations": params.get("generations"),
+        "population": params.get("population", 0) * (2 * params.get("segments", 0) * len(colors) + 1),
+    }
+    for field, count in rows.items():
+        if field in params and count > _MAX_ROWS:
+            where = "model.cutoff" if field == "max_n" and field not in data else f"task.{field}"
+            _fail(where, f"{count} rows exceed the {_MAX_ROWS}-row limit")
     if params.get("subspace", "full") not in ("full", "closed"):
         _fail("task.subspace", "must be 'full' or 'closed'")
     return kind, params
@@ -379,7 +383,8 @@ def parse_scenario(text: str) -> Scenario:
     schedule_raw = _get(data, "schedule", dict, "", default={})
     _check_unknown(schedule_raw, {"segments"}, "schedule")
     segments = _parse_segments(schedule_raw, len(colors))
-    task, task_params = _parse_task(_get(data, "task", dict, "", required=True), model, colors)
+    task_data = _get(data, "task", dict, "", required=True)
+    task, task_params = _parse_task(task_data, model, colors, len(segments))
 
     seed = _get(data, "seed", int, "", default=0)
     output = _get(data, "output", str, "", default="out/scenario")

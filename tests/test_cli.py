@@ -352,6 +352,73 @@ task: {kind: optimize, purity_floor: 1.5}
 """,
             "task.purity_floor",
         ),
+        (
+            # every task that writes or holds rows shares the 2^20-row limit
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: zeros, degree: 3, grid_points: 1048577}
+""",
+            "task.grid_points",
+        ),
+        (
+            # (1 + 1 * 131072) samples of d = 8 amplitudes
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+schedule: {segments: [{colors: [0], duration: 1.0}]}
+task: {kind: evolve, samples_per_segment: 131072}
+""",
+            "task.samples_per_segment",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, generations: 1048577}
+""",
+            "task.generations",
+        ),
+        (
+            # 349526 candidates of 2 * 1 * 1 + 1 parameters
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, population: 349526}
+""",
+            "task.population",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, mutation_scale: -1.0}
+""",
+            "task.mutation_scale",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, mutation_decay: 7.0}
+""",
+            "task.mutation_decay",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, mutation_floor: -1.0}
+""",
+            "task.mutation_floor",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, restart_after: 0}
+""",
+            "task.restart_after",
+        ),
     ],
     ids=[
         "nan_duration",
@@ -373,6 +440,14 @@ task: {kind: optimize, purity_floor: 1.5}
         "matelem_max_n_rows",
         "matelem_default_max_n_rows",
         "purity_floor_above_one",
+        "zeros_grid_points_rows",
+        "evolve_samples_rows",
+        "optimize_generations_rows",
+        "optimize_population_rows",
+        "negative_mutation_scale",
+        "mutation_decay_above_one",
+        "negative_mutation_floor",
+        "zero_restart_after",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
@@ -409,6 +484,22 @@ def test_matelem_row_limit_boundary_validates(tmp_path):
         """
 model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
 task: {kind: matelem, max_n: 1023}
+""",
+    )
+    assert main(["validate", str(scn)]) == 0
+
+
+# (1 + 1 * 131071) samples of d = 8 amplitudes are exactly 2^20 rows;
+# validate only
+def test_evolve_row_limit_boundary_validates(tmp_path):
+    scn = write(
+        tmp_path,
+        "rows.yaml",
+        """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+schedule: {segments: [{colors: [0], duration: 1.0}]}
+task: {kind: evolve, samples_per_segment: 131071}
 """,
     )
     assert main(["validate", str(scn)]) == 0

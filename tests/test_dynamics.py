@@ -100,6 +100,9 @@ class TestPropagate:
         psi0 = ground(model)
         with pytest.raises(ValueError):
             propagate(model, PulseSchedule(()), 0.5 * psi0)
+        # a normalized state of another dimension
+        with pytest.raises(ValueError, match="dimension"):
+            propagate(model, PulseSchedule((Segment((carrier(),), 1.0),)), np.append(psi0, 0.0))
         with pytest.raises(ValueError):
             Segment((carrier(),), -1.0)
 

@@ -1,9 +1,10 @@
 """Property tests of resonant propagation.
 
 Over random Rabi amplitudes, phases and durations, on one- and two-ion
-LDL and exact models: `propagate` keeps every sample normalized, the
-Hermitian exponential is unitary, and at a zero of L_6^1 carrier+blue
-schedules stay inside the 14-state closed subspace.
+LDL and exact models: `propagate` keeps every sample normalized, agrees
+with the dense exponential of each segment Hamiltonian, is unitary on a
+segment, and at a zero of L_6^1 carrier+blue schedules stay inside the
+14-state closed subspace.
 """
 
 import numpy as np
@@ -19,11 +20,11 @@ from ionctrl import (
     SystemModel,
     TrapConfig,
     TruncatedBasis,
+    control_raising,
     laguerre_zeros,
     leakage,
     propagate,
 )
-from ionctrl.dynamics import segment_hamiltonian
 from ionctrl.fock import _evolve
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None)
@@ -50,9 +51,9 @@ def models(draw):
 
 
 @st.composite
-def segments(draw, model, sidebands=("carrier", "blue", "red")):
-    """One segment of one to three colors on any ion of the model."""
-    n_colors = draw(st.integers(1, 3))
+def segments(draw, model, sidebands=("carrier", "blue", "red"), min_colors=1):
+    """One segment of min_colors to three colors on any ion of the model."""
+    n_colors = draw(st.integers(min_colors, 3))
     colors = tuple(
         FieldColor(
             target_ion=draw(st.integers(0, model.basis.ion_count - 1)),
@@ -86,13 +87,41 @@ def test_propagate_preserves_norm(data):
     assert np.max(np.abs(np.linalg.norm(traj.states, axis=1) - 1.0)) <= 1e-12
 
 
+def dense_samples(model, schedule, psi0, samples):
+    """Reference trajectory: each segment's H = sum_c rabi_c e^{i phase_c} K_c
+    + h.c., with K_c from control_raising, exponentiated densely."""
+    states = [psi0]
+    for seg in schedule.segments:
+        k = np.zeros((model.basis.dimension,) * 2, dtype=complex)
+        for color in seg.colors:
+            k += color.rabi * np.exp(1j * color.phase) * control_raising(model, color)
+        taus = seg.duration * np.arange(1, samples + 1) / samples
+        states.extend(_evolve(k + k.conj().T, states[-1], taus))
+    return np.array(states)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_propagate_matches_dense_exponential(data):
+    model = data.draw(models())
+    segs = st.lists(segments(model, min_colors=0), min_size=1, max_size=3)
+    schedule = PulseSchedule(tuple(data.draw(segs)))
+    dim = model.basis.dimension
+    psi0 = random_state(data.draw, list(range(dim)), dim)
+    samples = data.draw(st.integers(1, 4))
+    traj = propagate(model, schedule, psi0, samples_per_segment=samples)
+    expected = dense_samples(model, schedule, psi0, samples)
+    assert np.max(np.abs(traj.states - expected)) <= 1e-12
+
+
 @settings(SETTINGS, max_examples=200)
 @given(data=st.data())
 def test_segment_exponential_is_unitary(data):
     model = data.draw(models())
-    segment = data.draw(segments(model))
+    schedule = PulseSchedule((data.draw(segments(model)),))
     eye = np.eye(model.basis.dimension)
-    u = _evolve(segment_hamiltonian(model, segment), eye, [segment.duration])[0]
+    # column j is the segment's propagator applied to basis vector j
+    u = np.array([propagate(model, schedule, e).final for e in eye]).T
     assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-12
 
 

@@ -1,7 +1,8 @@
 """Static checks on the package source: exported names resolve, no
 module imports a name it never uses, every private module-level name
-is used somewhere in the package, and each matrix decomposition has one
-call site."""
+is used somewhere in the package, each matrix decomposition has one
+call site, and the eigendecomposition exponential serves only the
+non-resonant paths."""
 
 import ast
 import importlib
@@ -98,8 +99,8 @@ def test_private_names_are_used():
 
 def test_one_call_site_per_decomposition():
     """`np.linalg.eigh`, `eigvalsh` and `svd` are each called in exactly one
-    place: the Hermitian exponential, the Laguerre zeros and the search's
-    population scorer."""
+    place: the Hermitian exponential, the Laguerre zeros and the resonant
+    parity-block propagator."""
     sites = {"eigh": [], "eigvalsh": [], "svd": []}
     for name in MODULES:
         for top in parse(name).body:
@@ -115,5 +116,24 @@ def test_one_call_site_per_decomposition():
     assert sites == {
         "eigh": ["fock._evolve"],
         "eigvalsh": ["laguerre.laguerre_zeros"],
-        "svd": ["optimize._population_scorer"],
+        "svd": ["dynamics._parity_propagate"],
+    }
+
+
+def test_dense_exponential_serves_only_non_resonant_paths():
+    """`fock._evolve` is referenced only by the time-dependent oracle, the
+    split-product defect and the displacement oracle; resonant propagation
+    goes through the parity-block propagator."""
+    users = {
+        f"{name}.{top.name}"
+        for name in MODULES
+        for top in parse(name).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == "_evolve"
+    }
+    assert users == {
+        "dynamics._oracle_final_state",
+        "dynamics.bch_defect",
+        "fock._displacement_block",
     }

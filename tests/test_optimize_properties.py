@@ -2,8 +2,9 @@
 
 Over one- and two-ion LDL and exact models, carrier/blue/red colors,
 1-8 segments, state and spin objectives and random initial states: the
-stacked parity-block scorer gives every candidate the score that
-`propagate` and `Objective.score` give it one by one.
+stacked parity-block scorer gives every candidate the score that the dense
+exponential of each segment Hamiltonian and `Objective.score` give it one
+by one.
 """
 
 import importlib
@@ -22,9 +23,11 @@ from ionctrl import (
     SystemModel,
     TrapConfig,
     TruncatedBasis,
+    control_raising,
     optimize,
     propagate,
 )
+from ionctrl.fock import _evolve
 from ionctrl.optimize import _population_scorer, _vector_to_params
 
 # the package's `optimize` attribute is the search function, not this module
@@ -74,9 +77,14 @@ def problems(draw):
 
 
 def one_by_one(model, colors, objective, n_seg, x):
-    params = _vector_to_params(x, n_seg, len(colors))
-    final = propagate(model, params.to_schedule(colors), objective.initial).final
-    return objective.score(final, model.basis)
+    """Score of one candidate whose segments evolve under the dense
+    exponential of H = sum_c rabi_c e^{i phase_c} K_c + h.c., with K_c from
+    control_raising; independent of the parity-block propagator."""
+    psi = objective.initial
+    for seg in _vector_to_params(x, n_seg, len(colors)).to_schedule(colors).segments:
+        k = sum(c.rabi * np.exp(1j * c.phase) * control_raising(model, c) for c in seg.colors)
+        psi = _evolve(k + k.conj().T, psi, [seg.duration])[0]
+    return objective.score(psi, model.basis)
 
 
 @SETTINGS

@@ -150,8 +150,8 @@ def test_emission_is_parse_fixed_point(kind, data):
 
 # Every field path the generator writes, list indices written [], with
 # an out-of-range value where the field has a range rule of its own;
-# None where it has none (population, for one, is bounded only through
-# elite).
+# None where it has none.  Population's own rule is the shared 2^20-row
+# limit on population * (2 * segments * colors + 1).
 OUT_OF_RANGE = {
     "seed": None,
     "output": None,
@@ -196,13 +196,13 @@ OUT_OF_RANGE = {
     "task.omega_max": 0.0,
     "task.t_max": -1.0,
     "task.segments": 9,
-    "task.population": None,
+    "task.population": 2**20,
     "task.elite": 0,
     "task.generations": 0,
-    "task.mutation_scale": None,
-    "task.mutation_decay": None,
-    "task.mutation_floor": None,
-    "task.restart_after": None,
+    "task.mutation_scale": -1.0,
+    "task.mutation_decay": 1.5,
+    "task.mutation_floor": -1.0,
+    "task.restart_after": 0,
     # amplitude lists; an entry [spins, (n,) re, im] is out of range
     # with spins other than d and u
     "task.initial": None,
