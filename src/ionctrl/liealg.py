@@ -47,6 +47,8 @@ def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
     scale = max(1.0, float(np.abs(mat).max()))
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10 * scale:
         raise ValueError(f"{name} must be Hermitian")
@@ -94,8 +96,18 @@ def _sweep_bytes(cap: int, d: int) -> int:
     of them comes the larger of the last element's commutator batch
     (i = cap - 1: the complex (i*d, d) product and the three real
     (i, d^2) temporaries `pack` holds at once, together 40 * i * d^2;
-    each element's comms and residual are released before the next) and
-    the returned basis copy (16 * cap * d^2).
+    inserting the s <= i survivors holds the batch and three (s, d^2)
+    arrays; each element's arrays are released before the next) and the
+    basis copy returned by a sweep that stops below cap (16 * cap * d^2).
+
+    The complement phase fits under the batch term.  It starts once
+    c > 8n/9 of the n = d^2 directions are found, c <= cap - 1, so
+    n < 9 (cap - 1) / 8 and r = n - c < n/9.  Its QR holds two real
+    (n, c) and two (n, n) arrays (the copy it factors, R, and Q's LAPACK
+    buffer and result), 8n(2c + 2n) < 34 (cap - 1) d^2 bytes.  Then each
+    element holds the complex complement and its product with X_i, two
+    real arrays of at most r * d^2 entries and r survivors at a time:
+    88 r d^2 < 11 (cap - 1) d^2.
     """
     return d * d * (24 * cap + max(40 * (cap - 1), 16 * cap))
 
@@ -120,11 +132,24 @@ def dynamical_lie_algebra(
     r(X) = [sqrt2*Re X_jk, sqrt2*Im X_jk for j<k, Im X_jj], which carry
     the trace inner product Re tr(X^H Y) as a dot product, so `tol`
     bounds the same Frobenius norm; the complex matrices are kept only
-    to form commutators and to return the basis.  For cap = min(max_dim,
-    d^2) elements the sweep peaks at about
-    d^2 * (24 * cap + max(40 * (cap - 1), 16 * cap)) bytes; a sweep that
-    would need more than 1 GiB raises SweepTooLargeError (a ValueError)
-    before allocating; max_dim bounds it.
+    to form commutators and to return the basis.  An element's
+    commutators whose residual exceeds `tol` are projected against the
+    basis as one block, twice, then orthogonalized one by one against
+    the rows that block has already inserted.
+
+    Once the basis holds more than 8/9 of all d^2 directions, one QR
+    gives orthonormal rows C_r spanning its complement, and element i
+    finds the residuals of all its commutators [X_j, X_i] with two
+    products: Re tr(C_r^H [X_j, X_i]) = -2 Re tr((C_r X_i)^H X_j), less
+    the directions inserted since the QR.  Only the commutators whose
+    residual exceeds `tol` are then formed, r at a time.  Each generation's
+    dimension, dim(S + [S, S]) of the previous span S, does not depend on
+    the basis, so the history is the same as with the plain residual filter.
+
+    For cap = min(max_dim, d^2) elements the sweep, complement phase
+    included, peaks at about d^2 * (24 * cap + max(40 * (cap - 1), 16 *
+    cap)) bytes; a sweep that would need more than 1 GiB raises
+    SweepTooLargeError (a ValueError) before allocating; max_dim bounds it.
     """
     mats = [_check_hermitian(drift, "drift")]
     mats += [_check_hermitian(c, f"control {i}") for i, c in enumerate(controls)]
@@ -142,66 +167,80 @@ def dynamical_lie_algebra(
             f"{needed / 2**20:.0f} MiB, above the "
             f"{_MAX_SWEEP_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
         )
-    seeds = [1j * m for m in mats]
+    seeds = np.array([1j * m for m in mats])
     scale = max(np.linalg.norm(s) for s in seeds)
     if scale == 0.0:
         raise ValueError("all generators are zero")
     if tol is None:
         tol = 1e-8 * scale
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
 
     pack, unpack = _real_coordinates(d)
     coords = np.zeros((cap, full))
     stacked = np.zeros((cap, d, d), dtype=complex)
+    flat = stacked.reshape(cap, -1).view(float)  # carries Re tr(X^H Y) as a dot product
     count = 0
 
-    def try_add(v: np.ndarray) -> bool:
+    def insert(block: np.ndarray) -> None:
         nonlocal count
+        start = count
         for _ in range(2):
-            if count:
-                v = v - (coords[:count] @ v) @ coords[:count]
-        norm = np.linalg.norm(v)
-        if norm <= tol:
-            return False
-        coords[count] = v / norm
-        unpack(coords[count], stacked[count])
-        count += 1
-        return True
+            block = block - (block @ coords[:start].T) @ coords[:start]
+        for v in block:
+            if count >= cap:
+                break
+            for _ in range(2):
+                v = v - (coords[start:count] @ v) @ coords[start:count]
+            norm = np.linalg.norm(v)
+            if norm > tol:
+                coords[count] = v / norm
+                unpack(coords[count], stacked[count])
+                count += 1
 
-    history = []
     # pack keeps only the skew-Hermitian part, so roundoff in the
     # generators never leaks a Hermitian part into the basis
-    for s in seeds:
-        if count >= cap:
-            break
-        try_add(pack(s)[0])
-    history.append((0, count, count))
+    insert(pack(seeds))
+    history = [(0, count, count)]
 
     generations = 0
     saturated = count >= full
     gen_start = 0
+    comp = None
     while count < cap:
         generations += 1
         prev_count = count
-        for i in range(gen_start, prev_count):
+        for i in range(max(gen_start, 1), prev_count):
             if count >= cap:
                 break
-            if not i:
-                continue
-            # elements are exactly skew-Hermitian, so x P = (P x)^H and the
-            # commutator P x - x P is twice the skew part of P x
-            comms = 2 * pack(stacked[:i].reshape(i * d, d) @ stacked[i])
-            # single-pass batch filter; try_add re-projects each survivor
-            # with the re-orthogonalization pass before inserting it
-            basis = coords[:count]
-            residual = comms - (comms @ basis.T) @ basis
-            norms = np.linalg.norm(residual, axis=1)
-            for j in np.nonzero(norms > tol)[0]:
-                if count >= cap:
-                    break
-                try_add(comms[j])
-            del comms, residual, norms
+            if comp is None and 8 * (full - count) < count:
+                # from here on, test commutators against orthonormal rows
+                # spanning the basis's complement, which is the smaller
+                qr_count, r = count, full - count
+                q = np.linalg.qr(coords[:count].T, mode="complete")[0]
+                comp = np.zeros((r, d, d), dtype=complex)
+                for c, m in zip(q[:, count:].T, comp):
+                    unpack(c, m)
+                del q
+            if comp is None:
+                # elements are exactly skew-Hermitian, so x P = (P x)^H and the
+                # commutator P x - x P is twice the skew part of P x
+                comms = 2 * pack(stacked[:i].reshape(i * d, d) @ stacked[i])
+                residual = comms - (comms @ coords[:count].T) @ coords[:count]
+                keep = np.linalg.norm(residual, axis=1) > tol
+                del residual
+                insert(comms[keep])
+                del comms
+            else:
+                # Re tr(C^H [X_j, X_i]) = -2 Re tr((C X_i)^H X_j) for skew-Hermitian
+                # C and X; then drop the parts along rows inserted since the QR
+                prod = (comp.reshape(-1, d) @ stacked[i]).reshape(r, -1).view(float)
+                parts = -2 * prod @ flat[:i].T
+                since = flat[qr_count:count] @ comp.reshape(r, -1).view(float).T
+                parts -= since.T @ (since @ parts)
+                rows = np.flatnonzero(np.linalg.norm(parts, axis=0) > tol)
+                for j in range(0, len(rows), r):
+                    insert(2 * pack(stacked[rows[j : j + r]].reshape(-1, d) @ stacked[i]))
         added = count - prev_count
         history.append((generations, added, count))
         if added == 0:
@@ -212,7 +251,7 @@ def dynamical_lie_algebra(
         saturated = saturated or (count >= full)
 
     return LieAlgebraResult(
-        basis=stacked[:count].copy(),
+        basis=stacked if count == cap else stacked[:count].copy(),
         dimension=count,
         saturated=bool(saturated),
         generations=generations,

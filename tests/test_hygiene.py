@@ -98,10 +98,10 @@ def test_private_names_are_used():
 
 
 def test_one_call_site_per_decomposition():
-    """`np.linalg.eigh`, `eigvalsh` and `svd` are each called in exactly one
-    place: the Hermitian exponential, the Laguerre zeros and the resonant
-    parity-block propagator."""
-    sites = {"eigh": [], "eigvalsh": [], "svd": []}
+    """`np.linalg.eigh`, `eigvalsh`, `svd` and `qr` are each called in
+    exactly one place: the Hermitian exponential, the Laguerre zeros, the
+    resonant parity-block propagator and the Lie sweep's complement."""
+    sites = {"eigh": [], "eigvalsh": [], "svd": [], "qr": []}
     for name in MODULES:
         for top in parse(name).body:
             for node in ast.walk(top):
@@ -117,6 +117,7 @@ def test_one_call_site_per_decomposition():
         "eigh": ["fock._evolve"],
         "eigvalsh": ["laguerre.laguerre_zeros"],
         "svd": ["dynamics._parity_propagate"],
+        "qr": ["liealg.dynamical_lie_algebra"],
     }
 
 

@@ -83,6 +83,20 @@ FULL_HISTORY = {
         ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 24, 34), (4, 16, 50)),
         False,
     ),
+    # these two stop at the cap partway through a generation that has
+    # switched to the complement filter
+    "closed_14_max_dim_190": (
+        lambda: truncated_subsystem()[:2],
+        190,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 24, 34), (4, 150, 184), (5, 6, 190)),
+        False,
+    ),
+    "ldl_10_max_dim_390": (
+        lambda: ldl_ladder(10)[1:],
+        390,
+        ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 23, 33), (4, 131, 164), (5, 226, 390)),
+        False,
+    ),
 }
 
 
@@ -165,8 +179,9 @@ class TestDynamicalLieAlgebra:
             (lambda: truncated_subsystem()[:2], 50),
             (lambda: ldl_ladder(8)[1:], None),
             (lambda: ldl_ladder(10)[1:], None),
+            (lambda: ldl_ladder(10)[1:], 390),
         ],
-        ids=["closed_14", "closed_14_max_dim_50", "ldl_8", "ldl_10"],
+        ids=["closed_14", "closed_14_max_dim_50", "ldl_8", "ldl_10", "ldl_10_max_dim_390"],
     )
     def test_peak_memory_within_estimate(self, system, max_dim):
         drift, controls = system()
@@ -187,6 +202,21 @@ class TestDynamicalLieAlgebra:
             dynamical_lie_algebra(SZ, [np.eye(3, dtype=complex)])
         with pytest.raises(ValueError):
             dynamical_lie_algebra(np.zeros((2, 2), dtype=complex), [])
+
+    def test_non_finite_generators_refused(self):
+        nan_drift = SZ.copy()
+        nan_drift[0, 0] = np.nan
+        with pytest.raises(ValueError, match="drift must be finite"):
+            dynamical_lie_algebra(nan_drift, [SX])
+        inf_control = SX.copy()
+        inf_control[0, 1] = inf_control[1, 0] = np.inf
+        with pytest.raises(ValueError, match="control 1 must be finite"):
+            dynamical_lie_algebra(SZ, [SX, inf_control])
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-8])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            dynamical_lie_algebra(SZ, [SX], tol=tol)
 
     def test_truncated_subsystem_controllable(self):
         drift, controls, dim = truncated_subsystem()
