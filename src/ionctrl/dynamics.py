@@ -11,12 +11,13 @@ approximation.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fock import BasisState, ConvergenceError, SPIN_DOWN, SPIN_UP, _evolve
-from .model import PHONON_SHIFT, FieldColor, SystemModel, _raising, control_raising, coupling_strength
+from .model import PHONON_SHIFT, FieldColor, SystemModel, _raising, coupling_strength
 
 __all__ = [
     "Segment",
@@ -77,11 +78,19 @@ def _parity_blocks(model: SystemModel, colors):
     basis = model.basis
     parity = np.repeat([bin(s).count("1") % 2 for s in range(2**basis.ion_count)], basis.fock_cutoff)
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    raising = [control_raising(model, color) for color in colors]
-    blocks = np.array(
-        [k[even[:, None], odd] for k in raising] + [k[odd[:, None], even].conj().T for k in raising]
-    ).reshape(2 * len(raising), len(even) * len(odd))
-    return even, odd, blocks
+    sector_pos = np.empty(basis.dimension, dtype=np.intp)
+    sector_pos[even], sector_pos[odd] = np.arange(len(even)), np.arange(len(odd))
+    n_colors = len(colors)
+    blocks = np.zeros((2 * n_colors, len(even), len(odd)), dtype=complex)
+    # a lowering block is conj(K).T, so its zeros are 0 - 0j
+    blocks[n_colors:].imag = -0.0
+    for c, color in enumerate(colors):
+        model.check_color(color)
+        upper, lower, value = _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
+        up = parity[upper] == 0  # entries that raise odd -> even
+        blocks[c, sector_pos[upper[up]], sector_pos[lower[up]]] = value[up]
+        blocks[n_colors + c, sector_pos[lower[~up]], sector_pos[upper[~up]]] = value[~up].conj()
+    return even, odd, blocks.reshape(2 * n_colors, len(even) * len(odd))
 
 
 def _parity_propagate(even, odd, blocks, amp, taus, psi) -> np.ndarray:
@@ -136,18 +145,18 @@ def _manifold_terms(model: SystemModel, color: FieldColor):
     """All phonon-manifold raising operators of one color with the
     multiple of the mode frequency each acquires in the rotating frame.
 
-    Yields (frequency_multiple, matrix): the resonant manifold comes out
-    at multiple 0 and equals the model's control_raising operator; LDL
-    models retain the three first-order manifolds, exact models all of
-    them.
+    Yields (frequency_multiple, (upper, lower, value)) index maps of each
+    manifold with a nonzero coupling: the resonant manifold comes out at
+    multiple 0 and holds the control_raising entries; LDL models retain
+    the three first-order manifolds, exact models all of them.
     """
     n_levels = model.basis.fock_cutoff
     resonant_shift = PHONON_SHIFT[color.sideband]
     dns = (-1, 0, 1) if model.ldl else range(-(n_levels - 1), n_levels)
     for dn in dns:
-        k = _raising(model, color.target_ion, dn)
-        if k.any():
-            yield dn - resonant_shift, k
+        maps = _raising(model, color.target_ion, dn)
+        if maps[2].any():
+            yield dn - resonant_shift, maps
 
 
 def _oracle_final_state(
@@ -163,14 +172,11 @@ def _oracle_final_state(
     t0 = 0.0
     samples = [(0.0, psi)]
     for seg in schedule.segments:
-        groups: dict[int, np.ndarray] = {}
+        groups = defaultdict(lambda: np.zeros((model.basis.dimension,) * 2, dtype=complex))
         for color in seg.colors:
             amp = color.rabi * np.exp(1j * color.phase)
-            for mult, k in _manifold_terms(model, color):
-                if mult in groups:
-                    groups[mult] = groups[mult] + amp * k
-                else:
-                    groups[mult] = amp * k
+            for mult, (upper, lower, value) in _manifold_terms(model, color):
+                groups[mult][upper, lower] += amp * value
         n_steps = max(1, math.ceil(seg.duration / dt))
         h_step = seg.duration / n_steps
         for step in range(n_steps):

@@ -4,7 +4,7 @@ Hermitian exponential of the oracles and the split-product defect.
 Basis convention: spin index 0 is down, 1 is up.  States are enumerated
 spins-major, phonon-minor, so the flat index of |s_1 .. s_k, n> is
 (spin configuration as a binary number, ion 1 most significant) * N + n
-for Fock cutoff N.  All operators are dense complex ndarrays.
+for Fock cutoff N.  The operators built here are dense complex ndarrays.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import BasisState, SPIN_DOWN
-from .model import FieldColor, SystemModel, build_control
+from .fock import BasisState
+from .model import PHONON_SHIFT, FieldColor, SystemModel, _raising
 
 __all__ = [
     "GraphEdge",
@@ -49,20 +49,19 @@ def build_graph(
     colors: list[FieldColor],
     threshold: float = 1e-9,
 ) -> CouplingGraph:
-    """One undirected edge per control matrix element above threshold,
-    weighted by its magnitude at unit Rabi and tagged by color index."""
+    """One undirected edge (lower, upper) per raising-operator entry above
+    threshold, weighted by its magnitude at unit Rabi and tagged by color
+    index; ordered by color, then by lower index."""
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    basis = model.basis
-    vertices = tuple(basis.states())
     edges = []
     for ci, color in enumerate(colors):
-        h = build_control(model, color)
-        rows, cols = np.nonzero(np.abs(h) > threshold)
-        for i, j in zip(rows, cols):
-            if i < j:
-                edges.append(GraphEdge(a=int(i), b=int(j), weight=float(abs(h[i, j])), color=ci))
-    return CouplingGraph(vertices=vertices, edges=tuple(edges))
+        model.check_color(color)
+        upper, lower, value = _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
+        weight = np.abs(value)
+        for i in np.flatnonzero(weight > threshold):
+            edges.append(GraphEdge(a=int(lower[i]), b=int(upper[i]), weight=float(weight[i]), color=ci))
+    return CouplingGraph(vertices=tuple(model.basis.states()), edges=tuple(edges))
 
 
 def connected_components(graph: CouplingGraph) -> list[set[int]]:
@@ -115,14 +114,7 @@ def closed_subspace(
     a component that touches the truncation edge is a numerical
     artifact, not a closed subsystem.
     """
-    basis = model.basis
-    graph = build_graph(model, colors, threshold=threshold)
-    ground = basis.index(BasisState(spins=(SPIN_DOWN,) * basis.ion_count, phonon=0))
-    for comp in connected_components(graph):
-        if ground not in comp:
-            continue
-        top = max(basis.state(i).phonon for i in comp)
-        if top >= basis.fock_cutoff - 1:
-            return None
-        return sorted(comp)
-    return None
+    # |all-down, 0> is index 0, so its component comes first
+    comp = connected_components(build_graph(model, colors, threshold=threshold))[0]
+    n_levels = model.basis.fock_cutoff
+    return None if max(i % n_levels for i in comp) >= n_levels - 1 else sorted(comp)

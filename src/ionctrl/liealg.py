@@ -157,9 +157,11 @@ def dynamical_lie_algebra(
     if any(m.shape[0] != d for m in mats):
         raise ValueError("drift and controls must share one dimension")
     full = d * d
+    if max_dim is not None and (
+        isinstance(max_dim, (bool, np.bool_)) or not 1 <= max_dim < np.inf or max_dim != int(max_dim)
+    ):
+        raise ValueError(f"max_dim must be a positive integer, got {max_dim!r}")
     cap = full if max_dim is None else min(int(max_dim), full)
-    if cap < 1:
-        raise ValueError("max_dim must be positive")
     needed = _sweep_bytes(cap, d)
     if needed > _MAX_SWEEP_BYTES:
         raise SweepTooLargeError(

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import BasisState, SPIN_DOWN, SPIN_UP, TruncatedBasis, displacement_element
+from .fock import TruncatedBasis, displacement_element
 
 __all__ = [
     "SIDEBANDS",
@@ -162,21 +162,20 @@ def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
 
 
 @lru_cache(maxsize=128)
-def _raising(model: SystemModel, ion: int, dn: int) -> np.ndarray:
+def _raising(model: SystemModel, ion: int, dn: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raising operator of the manifold |..down.., n> -> |..up.., n+dn> of
-    one ion, entry by entry the coupling_strength convention; cached and
-    read-only."""
-    basis = model.basis
-    k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for state in basis.states():
-        n_to = state.phonon + dn
-        if state.spins[ion] != SPIN_DOWN or not 0 <= n_to < basis.fock_cutoff:
-            continue
-        spins = state.spins[:ion] + (SPIN_UP,) + state.spins[ion + 1 :]
-        upper = basis.index(BasisState(spins=spins, phonon=n_to))
-        k[upper, basis.index(state)] = _pair_coupling(model, ion, state.phonon, dn)
-    k.setflags(write=False)
-    return k
+    one ion as index maps K[upper, lower] = value in the coupling_strength
+    convention, lower ascending; cached, the arrays read-only."""
+    n_levels = model.basis.fock_cutoff
+    flip = 1 << (model.basis.ion_count - 1 - ion)
+    spins, phonon = divmod(np.arange(model.basis.dimension), n_levels)
+    lower = np.flatnonzero((spins & flip == 0) & (0 <= phonon + dn) & (phonon + dn < n_levels))
+    first = max(0, -dn)
+    rungs = [_pair_coupling(model, ion, n, dn) for n in range(first, min(n_levels, n_levels - dn))]
+    maps = (lower + flip * n_levels + dn, lower, np.array(rungs, dtype=complex)[phonon[lower] - first])
+    for a in maps:
+        a.setflags(write=False)
+    return maps
 
 
 def control_raising(model: SystemModel, color: FieldColor) -> np.ndarray:
@@ -185,11 +184,14 @@ def control_raising(model: SystemModel, color: FieldColor) -> np.ndarray:
     Entry <..up.., n+shift | K | ..down.., n> is the pair coupling; the
     target ion's spin flips up, other spins are untouched.  The full
     Hermitian control is K + K_dag; amplitude and phase enter as
-    rabi * (e^{i phase} K + h.c.) when a schedule is realized.  The
-    returned array is a cached read-only view.
+    rabi * (e^{i phase} K + h.c.) when a schedule is realized.  Each call
+    returns a new dense array, scattered from the cached index maps.
     """
     model.check_color(color)
-    return _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
+    upper, lower, value = _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
+    k = np.zeros((model.basis.dimension,) * 2, dtype=complex)
+    k[upper, lower] = value
+    return k
 
 
 def build_drift(model: SystemModel) -> np.ndarray:

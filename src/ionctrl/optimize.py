@@ -251,8 +251,6 @@ def optimize(
     colors = tuple(colors)
     if not colors:
         raise ValueError("need at least one color to optimize")
-    for color in colors:
-        model.check_color(color)
     objective._check_basis(model.basis)
     rng = np.random.default_rng(seed)
     n_seg, n_colors = search.segments, len(colors)

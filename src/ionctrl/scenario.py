@@ -279,7 +279,7 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
     kind = _get(data, "kind", str, "task", required=True)
     if kind not in TASKS:
         _fail("task.kind", f"must be one of {TASKS}")
-    # every task but these builds dense d x d complex operators
+    # every task but these and graph (index maps only) builds dense d x d complex operators
     dim = scenario_model.basis.dimension
     if kind not in ("zeros", "matelem") and 16 * dim * dim > 2**30:
         _fail("model.cutoff", f"a {dim}x{dim} complex operator would exceed 1 GiB")

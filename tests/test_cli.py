@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from ionctrl.cli import main
@@ -104,6 +106,35 @@ output: {tmp_path}/e
     assert int(index) == 0
     assert float(re_amp) == pytest.approx(1.0)
     assert float(im_amp) == 0.0
+
+
+def test_two_ion_closed_evolve_peak_memory(tmp_path):
+    """A two-ion, three-color evolve with its closed-subspace population at
+    cutoff 256 (d = 1024) peaks below three dense d x d operators: the
+    resonant couplings are index maps, and only the propagator's parity
+    blocks are dense."""
+    scn = write(
+        tmp_path,
+        "evolve.yaml",
+        f"""
+model: {{ions: 2, eta_sq: 0.5276681217111285, cutoff: 256}}
+colors:
+  - {{ion: 0, sideband: blue, rabi: 0.3}}
+  - {{ion: 1, sideband: blue, rabi: 0.3, phase: 0.4}}
+  - {{ion: 0, sideband: carrier, rabi: 0.2}}
+schedule: {{segments: [{{colors: [0, 1, 2], duration: 5.0}}]}}
+task: {{kind: evolve, subspace: closed}}
+output: {tmp_path}/e
+""",
+    )
+    d = 4 * 256
+    tracemalloc.start()
+    try:
+        assert main(["run", str(scn)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * d * d
 
 
 def test_run_outputs_reproducible_modulo_timestamp(tmp_path):

@@ -1,8 +1,8 @@
 """Static checks on the package source: exported names resolve, no
 module imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
-call site, and the eigendecomposition exponential serves only the
-non-resonant paths."""
+call site, the eigendecomposition exponential serves only the
+non-resonant paths, and the raising index maps have four readers."""
 
 import ast
 import importlib
@@ -121,20 +121,36 @@ def test_one_call_site_per_decomposition():
     }
 
 
+def function_users(name):
+    """Module-level functions of the package that reference `name`."""
+    return {
+        f"{module}.{top.name}"
+        for module in MODULES
+        for top in parse(module).body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id == name
+    }
+
+
 def test_dense_exponential_serves_only_non_resonant_paths():
     """`fock._evolve` is referenced only by the time-dependent oracle, the
     split-product defect and the displacement oracle; resonant propagation
     goes through the parity-block propagator."""
-    users = {
-        f"{name}.{top.name}"
-        for name in MODULES
-        for top in parse(name).body
-        if isinstance(top, ast.FunctionDef)
-        for node in ast.walk(top)
-        if isinstance(node, ast.Name) and node.id == "_evolve"
-    }
-    assert users == {
+    assert function_users("_evolve") == {
         "dynamics._oracle_final_state",
         "dynamics.bch_defect",
         "fock._displacement_block",
+    }
+
+
+def test_raising_index_maps_have_four_readers():
+    """`model._raising` (the index maps of one manifold) is read only by
+    the dense `control_raising`, the parity blocks of the propagator, the
+    coupling graph and the oracle's manifold terms."""
+    assert function_users("_raising") == {
+        "model.control_raising",
+        "dynamics._parity_blocks",
+        "graph.build_graph",
+        "dynamics._manifold_terms",
     }

@@ -129,6 +129,15 @@ class TestDynamicalLieAlgebra:
         assert not result.saturated
         assert controllability_verdict(result, 2) == "inconclusive"
 
+    @pytest.mark.parametrize(
+        "max_dim",
+        [float("inf"), float("nan"), 2.7, True, np.True_, 0],
+        ids=["inf", "nan", "2.7", "True", "np.True_", "0"],
+    )
+    def test_max_dim_must_be_a_positive_integer(self, max_dim):
+        with pytest.raises(ValueError, match="max_dim"):
+            dynamical_lie_algebra(SZ, [SX], max_dim=max_dim)
+
     def test_history_accumulates(self):
         result = dynamical_lie_algebra(SZ, [SX])
         assert result.history[0] == (0, 2, 2)

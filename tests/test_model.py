@@ -185,24 +185,38 @@ def raising_reference(model, ion, dn):
     return k
 
 
+def densify(maps, dim):
+    upper, lower, value = maps
+    k = np.zeros((dim, dim), dtype=complex)
+    k[upper, lower] = value
+    return k
+
+
 class TestRaising:
     @pytest.mark.parametrize("ldl", [False, True])
     @pytest.mark.parametrize("make", [one_ion, two_ion])
     def test_every_manifold_matches_reference(self, make, ldl):
         model = make(0.3, 5, ldl=ldl)
+        dim = model.basis.dimension
         dns = (-1, 0, 1) if ldl else range(-4, 5)
         for ion in range(model.basis.ion_count):
             for dn in dns:
-                k = _raising(model, ion, dn)
-                assert not k.flags.writeable
-                assert np.array_equal(k, raising_reference(model, ion, dn))
+                maps = _raising(model, ion, dn)
+                assert _raising(model, ion, dn) is maps
+                assert not any(a.flags.writeable for a in maps)
+                upper, lower, value = maps
+                assert len(upper) == len(lower) == len(value) <= dim
+                assert np.all(np.diff(lower) > 0) and np.all(upper > lower)
+                assert np.array_equal(densify(maps, dim), raising_reference(model, ion, dn))
 
     @pytest.mark.parametrize("ldl", [False, True])
     def test_control_raising_is_the_cached_manifold(self, ldl):
         model = two_ion(0.3, 5, ldl=ldl)
         for ion in (0, 1):
             for sideband, dn in PHONON_SHIFT.items():
-                assert control_raising(model, FieldColor(ion, sideband)) is _raising(model, ion, dn)
+                k = control_raising(model, FieldColor(ion, sideband))
+                assert np.array_equal(k, raising_reference(model, ion, dn))
+                assert np.array_equal(k, densify(_raising(model, ion, dn), model.basis.dimension))
 
 
 class TestClosedSubspace:
