@@ -313,7 +313,7 @@ _RUNNERS = {
 def _load_scenario(path: str) -> Scenario:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     return parse_scenario(text)
 
@@ -337,21 +337,16 @@ def main(argv=None) -> int:
 
     try:
         scenario = _load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.command == "validate":
-        print(f"scenario OK: task={scenario.task}, seed={scenario.seed}, output={scenario.output}")
-        return 0
-
-    output = scenario.output
-    if args.out is not None:
-        output = str(Path(args.out) / Path(scenario.output).name)
-    scenario = scenario.with_overrides(output=output, seed=args.seed)
-
-    try:
-        paths = _RUNNERS[scenario.task](scenario)
+        if args.command == "validate":
+            summary = f"task={scenario.task}, seed={scenario.seed}, output={scenario.output}"
+            print(f"scenario OK: {summary}")
+            return 0
+        if args.seed is not None and args.seed < 0:
+            raise ScenarioError("--seed: must be nonnegative")
+        output = scenario.output
+        if args.out is not None:
+            output = str(Path(args.out) / Path(scenario.output).name)
+        paths = _RUNNERS[scenario.task](scenario.with_overrides(output=output, seed=args.seed))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -207,6 +207,8 @@ def propagate_timedep_oracle(
     psi = _check_normalized(psi0, "psi0")
     if dt <= 0 or dt * model.trap.mode_freq >= 0.05:
         raise ValueError("dt must satisfy dt * mode_freq < 0.05")
+    for color in (c for seg in schedule.segments for c in seg.colors):
+        model.check_color(color)
     samples = _oracle_final_state(model, schedule, psi, dt)
     if check_convergence:
         finer = _oracle_final_state(model, schedule, psi, dt / 2)

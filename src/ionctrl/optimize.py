@@ -265,17 +265,16 @@ def optimize(
     span = upper - lower
 
     def clip(x: np.ndarray) -> np.ndarray:
-        x = x.copy()
-        x[:block] = np.clip(x[:block], lower[:block], upper[:block])
-        x[block : 2 * block] = np.mod(x[block : 2 * block], 2 * np.pi)
-        x[-1] = np.clip(x[-1], t_floor, search.t_max)
+        x[:, :block] = np.clip(x[:, :block], lower[:block], upper[:block])
+        x[:, block : 2 * block] = np.mod(x[:, block : 2 * block], 2 * np.pi)
+        x[:, -1] = np.clip(x[:, -1], t_floor, search.t_max)
         return x
 
-    def sample() -> np.ndarray:
-        return lower + span * rng.random(dim)
+    def sample(rows: int) -> np.ndarray:
+        return lower + span * rng.random((rows, dim))
 
     evaluate = _population_scorer(model, colors, objective, n_seg)
-    population = np.array([sample() for _ in range(search.population)])
+    population = sample(search.population)
     scores = evaluate(population)
 
     best_idx = int(np.argmax(scores))
@@ -290,14 +289,15 @@ def optimize(
         elites = population[order[: search.elite]]
         elite_scores = scores[order[: search.elite]]
 
-        children = []
-        for _ in range(search.population - search.elite):
-            pa, pb = rng.integers(0, search.elite, size=2)
-            mask = rng.random(dim) < 0.5
-            child = np.where(mask, elites[pa], elites[pb])
-            child = child + rng.standard_normal(dim) * scale * span
-            children.append(clip(child))
-        child_scores = evaluate(np.array(children))
+        # per-child draws in the stream order of the one-child-at-a-time loop
+        draws = [
+            (rng.integers(0, search.elite, size=2), rng.random(dim), rng.standard_normal(dim))
+            for _ in range(search.population - search.elite)
+        ]
+        parents, masks, noise = (np.array(d) for d in zip(*draws))
+        children = np.where(masks < 0.5, elites[parents[:, 0]], elites[parents[:, 1]])
+        children = clip(children + noise * scale * span)
+        child_scores = evaluate(children)
 
         population = np.vstack([elites, children])
         scores = np.concatenate([elite_scores, child_scores])
@@ -320,7 +320,7 @@ def optimize(
         )
         scale = max(scale * search.mutation_decay, search.mutation_floor)
         if stagnant >= search.restart_after:
-            population = np.array([best_x] + [sample() for _ in range(search.population - 1)])
+            population = np.vstack([best_x, sample(search.population - 1)])
             scores = np.concatenate([[best_score], evaluate(population[1:])])
             scale = search.mutation_scale
             stagnant = 0

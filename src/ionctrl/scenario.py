@@ -25,6 +25,10 @@ TASKS = ("zeros", "matelem", "graph", "liealg", "evolve", "laweberly", "optimize
 
 _BELL_AMP = float(1.0 / np.sqrt(2.0))
 
+# libyaml where this PyYAML build has it
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 # rows any task may write or hold; 2^20 matelem rows are about 68 MB of CSV
 _MAX_ROWS = 2**20
 
@@ -367,12 +371,12 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document, filling all defaults."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f"line {mark.line + 1}, column {mark.column + 1}" if mark else "unknown position"
         raise ScenarioError(f"parse error at {where}: {exc.problem}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeEncodeError) as exc:  # libyaml refuses a lone surrogate
         raise ScenarioError(f"parse error: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError("scenario: expected a mapping at top level")
@@ -387,6 +391,8 @@ def parse_scenario(text: str) -> Scenario:
     task, task_params = _parse_task(task_data, model, colors, len(segments))
 
     seed = _get(data, "seed", int, "", default=0)
+    if seed < 0:
+        _fail("seed", "must be nonnegative")
     output = _get(data, "output", str, "", default="out/scenario")
     threshold = _get(data, "threshold", float, "", default=1e-9)
     if threshold <= 0:
@@ -443,4 +449,7 @@ def emit_scenario(scenario: Scenario) -> str:
         },
         "task": {"kind": scenario.task, **scenario.task_params},
     }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None, width=100)
+    # libyaml wraps escaped scalars at other columns and cannot encode a lone surrogate
+    plain = scenario.output.isascii() and scenario.output.isprintable()
+    dumper = _DUMPER if plain else yaml.SafeDumper
+    return yaml.dump(doc, Dumper=dumper, sort_keys=False, default_flow_style=None, width=100)

@@ -450,6 +450,24 @@ task: {kind: optimize, restart_after: 0}
 """,
             "task.restart_after",
         ),
+        (
+            """
+seed: -1
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, generations: 1}
+""",
+            "seed",
+        ),
+        (
+            # a valid document; the negative seed comes from the command line
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, generations: 1}
+""",
+            "--seed",
+        ),
     ],
     ids=[
         "nan_duration",
@@ -479,14 +497,25 @@ task: {kind: optimize, restart_after: 0}
         "mutation_decay_above_one",
         "negative_mutation_floor",
         "zero_restart_after",
+        "negative_seed",
+        "negative_seed_override",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
     scn = write(tmp_path, "bad.yaml", doc)
+    # a command-line field is read by run alone; validate sees only the document
+    override = [field, "-5"] if field.startswith("--") else []
+    assert main(["validate", str(scn)]) == (0 if override else 2)
+    assert (field in capsys.readouterr().err) != bool(override)
+    assert main(["run", str(scn), "--out", str(tmp_path), *override]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_undecodable_scenario_file_exits_2(tmp_path, capsys):
+    scn = tmp_path / "latin1.yaml"
+    scn.write_bytes("output: r\xe9sultats\n".encode("latin-1"))
     assert main(["validate", str(scn)]) == 2
-    assert field in capsys.readouterr().err
-    assert main(["run", str(scn), "--out", str(tmp_path)]) == 2
-    assert field in capsys.readouterr().err
+    assert "cannot read scenario file" in capsys.readouterr().err
 
 
 # two ions: d = 4 * cutoff, and one d x d complex operator passes 1 GiB

@@ -197,6 +197,18 @@ class TestTimedepOracle:
         with pytest.raises(ValueError):
             propagate_timedep_oracle(model, sched, ground(model), dt=0.06)
 
+    def test_rejects_color_on_missing_ion(self):
+        # the second segment's color targets ion 1 of a one-ion model
+        model = one_ion(0.3, 6)
+        sched = PulseSchedule(
+            segments=(
+                Segment((carrier(0.1),), 1.0),
+                Segment((FieldColor(1, "blue", rabi=0.1),), 1.0),
+            )
+        )
+        with pytest.raises(ValueError, match="color targets ion 1, model has 1"):
+            propagate_timedep_oracle(model, sched, ground(model), dt=0.01)
+
     def test_reports_nonconverged_step(self):
         model = one_ion(np.sqrt(ROOT_BLUE), 12)
         sched = PulseSchedule(segments=(Segment((carrier(0.05), blue(0.05)), 80.0),))

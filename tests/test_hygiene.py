@@ -2,7 +2,8 @@
 module imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
-non-resonant paths, and the raising index maps have four readers."""
+non-resonant paths, the raising index maps have four readers, and YAML
+is read and written only by the scenario parser and emitter."""
 
 import ast
 import importlib
@@ -154,3 +155,21 @@ def test_raising_index_maps_have_four_readers():
         "graph.build_graph",
         "dynamics._manifold_terms",
     }
+
+
+def test_yaml_is_read_and_written_by_the_scenario_pair_alone():
+    """`yaml.load`, `yaml.dump` and their `safe_` forms are called only by
+    `parse_scenario` and `emit_scenario`, which pick libyaml where PyYAML
+    has it."""
+    calls = {
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for module in MODULES + ["__init__"]
+        for top in parse(module).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("safe_load", "safe_dump", "load", "dump")
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "yaml"
+    }
+    assert calls == {"scenario.parse_scenario", "scenario.emit_scenario"}

@@ -1,14 +1,17 @@
-"""Property tests of the search's population scorer.
+"""Property tests of the search's population scorer and its breeding.
 
 Over one- and two-ion LDL and exact models, carrier/blue/red colors,
 1-8 segments, state and spin objectives and random initial states: the
 stacked parity-block scorer gives every candidate the score that the dense
 exponential of each segment Hamiltonian and `Objective.score` give it one
-by one.
+by one.  Over population, elite, segment and color counts that force
+restarts, the search's array breeding returns exactly what the
+one-child-at-a-time reference loop returns.
 """
 
 import importlib
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from ionctrl import (
     FieldColor,
+    GenerationRecord,
     IonConfig,
     Objective,
     SearchConfig,
@@ -172,3 +176,92 @@ def test_search_with_restarts_returns_the_score_of_its_pulse(kind):
     assert best[-1] == score
     # a restart resets the mutation scale
     assert any(h.mutation_scale == search.mutation_scale for h in history[1:])
+
+
+def plateau_scorer(model, colors, objective, n_seg):
+    """Stand-in for `_population_scorer`: a cheap deterministic score per
+    row, rounded to plateaus so that searches stagnate and restart."""
+    return lambda x: np.round(np.sin(x @ np.arange(1.0, x.shape[1] + 1)), 1)
+
+
+def reference_search(evaluate, search, n_colors, seed):
+    """The search with one child bred at a time: its draws, its 1-D clip
+    and its reseeding, row by row."""
+    rng = np.random.default_rng(seed)
+    n_seg = search.segments
+    block = n_seg * n_colors
+    dim = 2 * block + 1
+    t_floor = 1e-6 * search.t_max
+    lower = np.concatenate([np.zeros(block), np.zeros(block), [t_floor]])
+    upper = np.concatenate(
+        [np.full(block, search.omega_max), np.full(block, 2 * np.pi), [search.t_max]]
+    )
+    span = upper - lower
+
+    def clip(x):
+        x = x.copy()
+        x[:block] = np.clip(x[:block], lower[:block], upper[:block])
+        x[block : 2 * block] = np.mod(x[block : 2 * block], 2 * np.pi)
+        x[-1] = np.clip(x[-1], t_floor, search.t_max)
+        return x
+
+    def sample():
+        return lower + span * rng.random(dim)
+
+    population = np.array([sample() for _ in range(search.population)])
+    scores = evaluate(population)
+    best_idx = int(np.argmax(scores))
+    best_x, best_score = population[best_idx].copy(), float(scores[best_idx])
+    history, scale, stagnant = [], search.mutation_scale, 0
+    for gen in range(search.generations):
+        order = np.argsort(-scores, kind="stable")
+        elites = population[order[: search.elite]]
+        elite_scores = scores[order[: search.elite]]
+        children = []
+        for _ in range(search.population - search.elite):
+            pa, pb = rng.integers(0, search.elite, size=2)
+            mask = rng.random(dim) < 0.5
+            child = np.where(mask, elites[pa], elites[pb])
+            child = child + rng.standard_normal(dim) * scale * span
+            children.append(clip(child))
+        child_scores = evaluate(np.array(children))
+        population = np.vstack([elites, children])
+        scores = np.concatenate([elite_scores, child_scores])
+        gen_best = int(np.argmax(scores))
+        if scores[gen_best] > best_score + 1e-12:
+            best_score, best_x, stagnant = float(scores[gen_best]), population[gen_best].copy(), 0
+        else:
+            stagnant += 1
+        history.append(GenerationRecord(gen, best_score, float(np.mean(scores)), scale))
+        scale = max(scale * search.mutation_decay, search.mutation_floor)
+        if stagnant >= search.restart_after:
+            population = np.array([best_x] + [sample() for _ in range(search.population - 1)])
+            scores = np.concatenate([[best_score], evaluate(population[1:])])
+            scale, stagnant = search.mutation_scale, 0
+    return _vector_to_params(best_x, n_seg, n_colors), best_score, history
+
+
+@SETTINGS
+@given(data=st.data())
+def test_array_breeding_is_the_one_child_loop(data):
+    population = data.draw(st.integers(2, 24))
+    search = SearchConfig(
+        omega_max=data.draw(st.floats(0.01, 2.0)),
+        t_max=data.draw(st.floats(0.1, 200.0)),
+        segments=data.draw(st.integers(1, 3)),
+        population=population,
+        elite=data.draw(st.integers(1, population - 1)),
+        generations=data.draw(st.integers(1, 25)),
+        mutation_scale=data.draw(st.floats(0.0, 1.0)),
+        restart_after=data.draw(st.integers(1, 4)),
+    )
+    sidebands = st.sampled_from(["carrier", "blue", "red"])
+    colors = data.draw(st.lists(st.builds(FieldColor, st.just(0), sidebands), min_size=1, max_size=3))
+    model = SystemModel(TrapConfig(1.0, 0.3), (IonConfig(),), TruncatedBasis(1, 2))
+    ground = np.array([1, 0, 0, 0], dtype=complex)
+    objective = Objective("state_fidelity", ground, ground)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    with mock.patch.object(optimize_module, "_population_scorer", plateau_scorer):
+        found = optimize(model, colors, objective, search, seed)
+    expected = reference_search(plateau_scorer(None, None, None, None), search, len(colors), seed)
+    assert found == expected

@@ -1,5 +1,7 @@
 import pytest
+import yaml
 
+from ionctrl.cli import main
 from ionctrl.scenario import ScenarioError, emit_scenario, parse_scenario
 
 MINIMAL = """
@@ -83,9 +85,42 @@ task: {kind: graph}
         )
 
 
-def test_parse_error_reports_position():
-    with pytest.raises(ScenarioError, match="line"):
-        parse_scenario("model: {ions: 1,\n  bad yaml: [unclosed\n")
+def test_parse_error_reports_position(tmp_path, capsys):
+    """libyaml words its syntax errors unlike the pure-Python parser; both
+    give the line and column, and the command exits 2."""
+    malformed = [
+        "model: {ions: 1,\n  bad yaml: [unclosed\n",
+        "model: {ions: 1, cutoff: 4}\ntask: {kind: graph}\ncolors: [1, 2\n",
+        "model:\n\tions: 1\n",
+        "a: b: c\n",
+    ]
+    for text in malformed:
+        with pytest.raises(ScenarioError, match=r"^parse error at line \d+, column \d+: "):
+            parse_scenario(text)
+        scn = tmp_path / "bad.yaml"
+        scn.write_text(text)
+        assert main(["validate", str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert "line" in err and "column" in err, text
+
+
+@pytest.mark.parametrize(
+    "output",
+    ["/data/r\u00e9sultats/" + "\u00e9" * 40 + "/run", "out/\t" * 30, "out/\udcff/run"],
+    ids=["long_non_ascii", "long_tabs", "lone_surrogate"],
+)
+def test_unprintable_output_path_is_emitted_by_the_pure_emitter(output):
+    """libyaml wraps long escaped scalars elsewhere and cannot encode a
+    lone surrogate (an undecodable byte of a command-line path), so these
+    paths keep the pure emitter's bytes and with them the scenario hash."""
+    scenario = parse_scenario(MINIMAL).with_overrides(output=output)
+    expected = yaml.safe_dump(
+        yaml.safe_load(emit_scenario(parse_scenario(MINIMAL))) | {"output": output},
+        sort_keys=False,
+        default_flow_style=None,
+        width=100,
+    )
+    assert emit_scenario(scenario) == expected
 
 
 def test_task_kind_required_and_known():
