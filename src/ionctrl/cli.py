@@ -126,8 +126,6 @@ def run_graph(scenario: Scenario) -> list[Path]:
 def run_liealg(scenario: Scenario) -> list[Path]:
     model = scenario.model
     p = scenario.task_params
-    if not scenario.colors:
-        raise ScenarioError("colors: liealg requires at least one color")
     drift = build_drift(model)
     controls = [build_control(model, c) for c in scenario.colors]
     if p["subspace"] == "closed":
@@ -235,6 +233,10 @@ def run_laweberly(scenario: Scenario) -> list[Path]:
 
 
 def run_optimize(scenario: Scenario) -> list[Path]:
+    try:  # the best pulse's scenario records the output path as text
+        scenario.output.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ScenarioError(f"--out: the output path is not valid UTF-8 ({exc.reason})") from exc
     model = scenario.model
     p = scenario.task_params
     initial = parse_state_spec(p["initial"], model.basis, "task.initial")

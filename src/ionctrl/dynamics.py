@@ -73,34 +73,34 @@ def _check_normalized(psi: np.ndarray, what: str = "state", tol: float = 1e-8) -
 
 
 def _parity_blocks(model: SystemModel, colors):
-    """Even and odd spin-parity basis indices, and each color's raising
-    then lowering odd -> even blocks as rows of a (2C, d/2 * d/2) array."""
+    """Even and odd spin-parity basis indices, and the colors' odd -> even
+    block entries: flat (d/2, d/2) position, amplitude column (c raises
+    color c, C + c lowers it) and value at unit Rabi, conjugated if lowering."""
     basis = model.basis
     parity = np.repeat([bin(s).count("1") % 2 for s in range(2**basis.ion_count)], basis.fock_cutoff)
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    sector_pos = np.empty(basis.dimension, dtype=np.intp)
-    sector_pos[even], sector_pos[odd] = np.arange(len(even)), np.arange(len(odd))
-    n_colors = len(colors)
-    blocks = np.zeros((2 * n_colors, len(even), len(odd)), dtype=complex)
-    # a lowering block is conj(K).T, so its zeros are 0 - 0j
-    blocks[n_colors:].imag = -0.0
+    pos = np.empty(basis.dimension, dtype=np.intp)
+    pos[even], pos[odd] = np.arange(len(even)), np.arange(len(odd))
+    flat, column, value = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, complex)]
     for c, color in enumerate(colors):
         model.check_color(color)
-        upper, lower, value = _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
+        upper, lower, v = _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
         up = parity[upper] == 0  # entries that raise odd -> even
-        blocks[c, sector_pos[upper[up]], sector_pos[lower[up]]] = value[up]
-        blocks[n_colors + c, sector_pos[lower[~up]], sector_pos[upper[~up]]] = value[~up].conj()
-    return even, odd, blocks.reshape(2 * n_colors, len(even) * len(odd))
+        flat.append(np.where(up, pos[upper] * len(odd) + pos[lower], pos[lower] * len(odd) + pos[upper]))
+        column.append(np.where(up, c, len(colors) + c))
+        value.append(np.where(up, v, v.conj()))
+    return even, odd, np.concatenate(flat), np.concatenate(column), np.concatenate(value)
 
 
-def _parity_propagate(even, odd, blocks, amp, taus, psi) -> np.ndarray:
+def _parity_propagate(even, odd, flat, column, value, amp, taus, psi) -> np.ndarray:
     """Evolve the (d,) or (P, d) states psi through S resonant segments of
     (P, S, C) color amplitudes, sampling each at the (P, K) times taus,
     the last one its duration; returns the (P, K, d) last-segment samples.
 
     Every color flips one spin, so H = [[0, B], [B_dag, 0]] on the even
-    and odd sectors, B = sum_c amp_c raise_c + conj(amp_c) lower_c.  With
-    B = U S V_dag, one stacked SVD per segment serves every state and time:
+    and odd sectors, B = sum_c amp_c raise_c + conj(amp_c) lower_c, scattered
+    from the `_parity_blocks` entries.  With B = U S V_dag, one stacked SVD
+    per segment serves every state and time:
     exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
                  [-i V sin(St) U_dag, V cos(St) V_dag]].
     """
@@ -108,7 +108,9 @@ def _parity_propagate(even, odd, blocks, amp, taus, psi) -> np.ndarray:
     # column vectors per state, (P, sector, K)
     psi_even, psi_odd = psi[..., even, None], psi[..., odd, None]
     for s in range(coeff.shape[1]):
-        u, sigma, vh = np.linalg.svd((coeff[:, s] @ blocks).reshape(-1, len(even), len(odd)))
+        b = np.zeros((len(coeff), len(even) * len(odd)), dtype=complex)
+        np.add.at(b, (slice(None), flat), coeff[:, s, column] * value)
+        u, sigma, vh = np.linalg.svd(b.reshape(-1, len(even), len(odd)))
         theta = sigma[..., None] * taus[:, None, :]
         cos, sin = np.cos(theta), np.sin(theta)
         a, c = u.conj().swapaxes(1, 2) @ psi_even[..., -1:], vh @ psi_odd[..., -1:]
@@ -126,8 +128,9 @@ def propagate(
     samples_per_segment: int = 1,
 ) -> Trajectory:
     """Evolve psi0 through the schedule, sampling each segment uniformly."""
-    if samples_per_segment < 1:
-        raise ValueError("samples_per_segment must be >= 1")
+    n = samples_per_segment
+    if isinstance(n, (bool, np.bool_)) or not (n >= 1 and n % 1 == 0):
+        raise ValueError(f"samples_per_segment must be an integer >= 1, got {n!r}")
     if np.shape(psi0) != (model.basis.dimension,):
         raise ValueError(f"psi0 must have dimension {model.basis.dimension}")
     times, states, t0 = [0.0], [_check_normalized(psi0, "psi0")], 0.0

@@ -52,8 +52,8 @@ def build_graph(
     """One undirected edge (lower, upper) per raising-operator entry above
     threshold, weighted by its magnitude at unit Rabi and tagged by color
     index; ordered by color, then by lower index."""
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold}")
     edges = []
     for ci, color in enumerate(colors):
         model.check_color(color)

@@ -96,9 +96,9 @@ def _sweep_bytes(cap: int, d: int) -> int:
     of them comes the larger of the last element's commutator batch
     (i = cap - 1: the complex (i*d, d) product and the three real
     (i, d^2) temporaries `pack` holds at once, together 40 * i * d^2;
-    inserting the s <= i survivors holds the batch and three (s, d^2)
-    arrays; each element's arrays are released before the next) and the
-    basis copy returned by a sweep that stops below cap (16 * cap * d^2).
+    inserting holds the batch and at most three more (i, d^2) arrays;
+    each element's arrays are released before the next) and the basis
+    copy returned by a sweep that stops below cap (16 * cap * d^2).
 
     The complement phase fits under the batch term.  It starts once
     c > 8n/9 of the n = d^2 directions are found, c <= cap - 1, so
@@ -133,9 +133,10 @@ def dynamical_lie_algebra(
     the trace inner product Re tr(X^H Y) as a dot product, so `tol`
     bounds the same Frobenius norm; the complex matrices are kept only
     to form commutators and to return the basis.  An element's
-    commutators whose residual exceeds `tol` are projected against the
-    basis as one block, twice, then orthogonalized one by one against
-    the rows that block has already inserted.
+    commutators are projected against the basis as one block; those
+    whose residual exceeds `tol` are projected once more, then
+    orthogonalized one by one against the rows that block has already
+    inserted.
 
     Once the basis holds more than 8/9 of all d^2 directions, one QR
     gives orthonormal rows C_r spanning its complement, and element i
@@ -187,8 +188,9 @@ def dynamical_lie_algebra(
     def insert(block: np.ndarray) -> None:
         nonlocal count
         start = count
-        for _ in range(2):
-            block = block - (block @ coords[:start].T) @ coords[:start]
+        block = block - (block @ coords[:start].T) @ coords[:start]
+        block = block[np.linalg.norm(block, axis=1) > tol]
+        block = block - (block @ coords[:start].T) @ coords[:start]
         for v in block:
             if count >= cap:
                 break
@@ -227,12 +229,7 @@ def dynamical_lie_algebra(
             if comp is None:
                 # elements are exactly skew-Hermitian, so x P = (P x)^H and the
                 # commutator P x - x P is twice the skew part of P x
-                comms = 2 * pack(stacked[:i].reshape(i * d, d) @ stacked[i])
-                residual = comms - (comms @ coords[:count].T) @ coords[:count]
-                keep = np.linalg.norm(residual, axis=1) > tol
-                del residual
-                insert(comms[keep])
-                del comms
+                insert(2 * pack(stacked[:i].reshape(i * d, d) @ stacked[i]))
             else:
                 # Re tr(C^H [X_j, X_i]) = -2 Re tr((C X_i)^H X_j) for skew-Hermitian
                 # C and X; then drop the parts along rows inserted since the QR

@@ -203,8 +203,8 @@ def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: 
     """Score function of (P, 2*S*C + 1) parameter matrices: per-segment
     amplitudes and phases for each color, then the total duration.  Rows
     go through `_parity_propagate` in chunks that fit _CHUNK_BYTES, on
-    parity blocks built once; a row whose final state is not finite and
-    normalized scores -inf with a warning."""
+    parity-block entries gathered once; a row whose final state is not
+    finite and normalized scores -inf with a warning."""
     sectors = _parity_blocks(model, colors)
     initial = np.asarray(objective.initial, dtype=complex)
     block = n_seg * len(colors)

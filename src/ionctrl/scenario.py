@@ -283,7 +283,7 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
     kind = _get(data, "kind", str, "task", required=True)
     if kind not in TASKS:
         _fail("task.kind", f"must be one of {TASKS}")
-    # every task but these and graph (index maps only) builds dense d x d complex operators
+    # liealg builds dense d x d operators; evolve, laweberly, optimize factor d/2 x d/2 blocks
     dim = scenario_model.basis.dimension
     if kind not in ("zeros", "matelem") and 16 * dim * dim > 2**30:
         _fail("model.cutoff", f"a {dim}x{dim} complex operator would exceed 1 GiB")
@@ -299,6 +299,8 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
     elif kind == "matelem":
         params["max_n"] = _get(data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1)
     elif kind == "liealg":
+        if not colors:
+            _fail("colors", "liealg requires at least one color")
         params["subspace"] = _get(data, "subspace", str, ctx, default="closed")
         if "tol" in data:
             params["tol"] = _get(data, "tol", float, ctx)

@@ -110,9 +110,9 @@ output: {tmp_path}/e
 
 def test_two_ion_closed_evolve_peak_memory(tmp_path):
     """A two-ion, three-color evolve with its closed-subspace population at
-    cutoff 256 (d = 1024) peaks below three dense d x d operators: the
-    resonant couplings are index maps, and only the propagator's parity
-    blocks are dense."""
+    cutoff 256 (d = 1024) peaks below one and a half dense d x d
+    operators: the resonant couplings are index maps, and the propagator
+    holds only the half-size block it factors and its SVD factors."""
     scn = write(
         tmp_path,
         "evolve.yaml",
@@ -134,7 +134,7 @@ output: {tmp_path}/e
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 16 * d * d
+    assert peak <= 1.5 * 16 * d * d
 
 
 def test_run_outputs_reproducible_modulo_timestamp(tmp_path):
@@ -468,6 +468,20 @@ task: {kind: optimize, generations: 1}
 """,
             "--seed",
         ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: liealg}
+""",
+            "colors",
+        ),
+        (
+            """
+model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
+task: {kind: optimize, generations: 1}
+""",
+            "colors",
+        ),
     ],
     ids=[
         "nan_duration",
@@ -499,6 +513,8 @@ task: {kind: optimize, generations: 1}
         "zero_restart_after",
         "negative_seed",
         "negative_seed_override",
+        "liealg_without_colors",
+        "optimize_without_colors",
     ],
 )
 def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
@@ -509,6 +525,47 @@ def test_invalid_numbers_exit_2_naming_field(tmp_path, capsys, doc, field):
     assert (field in capsys.readouterr().err) != bool(override)
     assert main(["run", str(scn), "--out", str(tmp_path), *override]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_unclosed_subspace_exits_2_naming_field(tmp_path, capsys):
+    # away from a Laguerre zero the blue ladder reaches the cutoff
+    scn = write(
+        tmp_path,
+        "open.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.3, cutoff: 12}}
+colors: [{{ion: 0, sideband: carrier}}, {{ion: 0, sideband: blue}}]
+schedule: {{segments: [{{colors: [0, 1], duration: 1.0}}]}}
+task: {{kind: evolve, subspace: closed}}
+output: {tmp_path}/e
+""",
+    )
+    assert main(["validate", str(scn)]) == 0
+    capsys.readouterr()
+    assert main(["run", str(scn)]) == 2
+    assert "task.subspace" in capsys.readouterr().err
+    assert list(tmp_path.glob("e_population*")) == []
+
+
+def test_optimize_out_not_utf8_exits_2_before_search(tmp_path, capsys):
+    """The best pulse's scenario embeds its output path, and a path that
+    UTF-8 cannot encode would be emitted as an escape no loader reads back."""
+    scn = write(
+        tmp_path,
+        "opt.yaml",
+        """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, objective: state, target: [["u", 0, 1.0, 0.0]], generations: 1}
+""",
+    )
+    bad = tmp_path / "bad\udcffdir"
+    assert main(["run", str(scn), "--out", str(bad)]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not bad.exists()
+    assert main(["run", str(scn), "--out", str(tmp_path / "good")]) == 0
+    best = tmp_path / "good" / "scenario_best.yaml"
+    assert main(["validate", str(best)]) == 0
 
 
 def test_undecodable_scenario_file_exits_2(tmp_path, capsys):

@@ -105,6 +105,11 @@ class TestPropagate:
             propagate(model, PulseSchedule((Segment((carrier(),), 1.0),)), np.append(psi0, 0.0))
         with pytest.raises(ValueError):
             Segment((carrier(),), -1.0)
+        # past the segment end, or True taken as 1
+        two = PulseSchedule((Segment((carrier(),), 1.0),) * 2)
+        for bad in (2.5, True, np.bool_(True), np.nan, np.inf, 0):
+            with pytest.raises(ValueError, match="samples_per_segment"):
+                propagate(model, two, psi0, samples_per_segment=bad)
 
 
 class TestClosedSubspaceLeakage:
@@ -317,3 +322,10 @@ class TestLawEberly:
         )
         with pytest.raises(ValueError):
             law_eberly_sequence(two, ground(two))
+        # eta^2 on a zero of L_2: the carrier of rung 2 is uncoupled
+        model = one_ion(np.sqrt(laguerre_zeros(2, 0)[0]), 5)
+        target = np.zeros(model.basis.dimension, dtype=complex)
+        for spin in (0, 1):
+            target[model.basis.index(BasisState((spin,), 2))] = 1 / np.sqrt(2)
+        with pytest.raises(ValueError, match="carrier coupling vanishes at rung 2"):
+            law_eberly_sequence(model, target)

@@ -11,6 +11,7 @@ from ionctrl import (
     TrapConfig,
     TruncatedBasis,
     build_graph,
+    closed_subspace,
     connected_components,
     is_transitively_connected,
     laguerre_zeros,
@@ -114,6 +115,12 @@ def test_graph_validation():
     model = one_ion(0.1, 4)
     with pytest.raises(ValueError):
         build_graph(model, [FieldColor(0, "carrier")], threshold=0.0)
+    # a NaN threshold would keep no edge and make |down, 0> alone "closed"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="threshold"):
+            build_graph(model, [FieldColor(0, "carrier")], threshold=bad)
+        with pytest.raises(ValueError, match="threshold"):
+            closed_subspace(model, [FieldColor(0, "carrier")], threshold=bad)
     g = build_graph(model, [FieldColor(0, "carrier")])
     with pytest.raises(ValueError):
         is_transitively_connected(g, [])

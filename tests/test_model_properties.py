@@ -3,11 +3,13 @@ references written here.
 
 Over one- and two-ion LDL and exact models (eta zero, a Laguerre zero or
 generic) and random colors, one (ion, sideband) always repeated: the
-propagator's parity blocks equal the slices of dense raising operators
-built entry by entry, byte for byte (the signed zeros of the conjugated
-lowering blocks included), and the coupling graph equals the
+propagator's parity-block entries scatter into the slices of dense
+raising operators built entry by entry, the block it factors is their
+amplitude-weighted sum, and the coupling graph equals the
 above-threshold scan of the dense Hermitian controls.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from ionctrl import (
     coupling_strength,
     laguerre_zeros,
 )
-from ionctrl.dynamics import _parity_blocks
+from ionctrl.dynamics import _parity_blocks, _parity_propagate
 from ionctrl.model import PHONON_SHIFT
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -77,22 +79,54 @@ def dense_raising(model, color):
     return k
 
 
+def factored_block(model, colors):
+    """The odd -> even block B that `_parity_propagate` hands to the SVD
+    for one segment of the colors, and the amplitudes it was built from."""
+    amp = np.array([[[c.rabi * np.exp(1j * c.phase) for c in colors]]])
+    psi = np.zeros(model.basis.dimension, dtype=complex)
+    psi[0] = 1.0
+    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+        _parity_propagate(*_parity_blocks(model, colors), amp, np.ones((1, 1)), psi)
+    (b,), _ = svd.call_args
+    return b[0], np.concatenate([amp[0, 0], amp[0, 0].conj()])
+
+
 @settings(SETTINGS)
 @given(data=st.data())
 def test_parity_blocks_are_dense_slices(data):
     model = data.draw(models())
     drawn = data.draw(colors(model))
-    raising = [dense_raising(model, c) for c in drawn]
     spins = [bin(s).count("1") % 2 for s in range(2**model.basis.ion_count)]
     parity = np.repeat(spins, model.basis.fock_cutoff)
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-    expected = np.array(
-        [k[even[:, None], odd] for k in raising] + [k[odd[:, None], even].conj().T for k in raising]
-    ).reshape(2 * len(raising), len(even) * len(odd))
-    got_even, got_odd, blocks = _parity_blocks(model, drawn)
+
+    def expected_blocks(colors):
+        raising = [dense_raising(model, c) for c in colors]
+        return np.array(
+            [k[even[:, None], odd] for k in raising] + [k[odd[:, None], even].conj().T for k in raising]
+        )
+
+    expected = expected_blocks(drawn)
+    got_even, got_odd, flat, column, value = _parity_blocks(model, drawn)
     assert np.array_equal(got_even, even) and np.array_equal(got_odd, odd)
-    assert blocks.shape == expected.shape
-    assert blocks.tobytes() == expected.tobytes()
+    assert flat.shape == column.shape == value.shape
+    for col, block in enumerate(expected):
+        mine = column == col
+        assert len(np.unique(flat[mine])) == np.count_nonzero(mine)
+        scattered = np.zeros(block.size, dtype=complex)
+        scattered[flat[mine]] = value[mine]
+        assert np.array_equal(scattered.reshape(block.shape), block)
+    assert np.all(column < len(expected))
+
+    # the factored block is the amplitude-weighted sum of the dense blocks:
+    # exact for distinct (ion, sideband) pairs, within roundoff of the
+    # reordered sum when one repeats
+    b, coeff = factored_block(model, drawn)
+    reference = np.tensordot(coeff, expected, axes=1)
+    assert np.abs(b - reference).max() <= 1e-15 * np.abs(reference).max()
+    distinct = list({(c.target_ion, c.sideband): c for c in drawn}.values())
+    b, coeff = factored_block(model, distinct)
+    assert np.array_equal(b, np.tensordot(coeff, expected_blocks(distinct), axes=1))
 
 
 @settings(SETTINGS)

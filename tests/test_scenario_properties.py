@@ -73,7 +73,7 @@ def documents(draw, kind):
     draw(optional(model, "ldl", st.booleans()))
 
     colors = []
-    min_colors = 1 if kind == "optimize" else 0
+    min_colors = 1 if kind in ("optimize", "liealg") else 0
     for _ in range(draw(st.integers(min_colors, 3))):
         color = {"sideband": draw(st.sampled_from(["carrier", "blue", "red"]))}
         draw(optional(color, "ion", st.integers(0, ion_count - 1)))
