@@ -3,10 +3,13 @@
     ionctrl run <scenario.yaml> [--out DIR] [--seed N]
     ionctrl validate <scenario.yaml>
 
-Each run dispatches exactly one task and writes diff-able CSV (or YAML)
-outputs whose provenance headers echo the tool version, a hash of the
-fully-defaulted scenario, and the seed.  Outputs are byte-identical
-across reruns except for the timestamp line.
+Each run dispatches exactly one task, which computes its outputs as
+`(suffix, columns, rows, extras)` tuples and writes nothing; `main` then
+writes them as diff-able CSV (or YAML, where `columns` is None) whose
+provenance headers echo the tool version, a hash of the fully-defaulted
+scenario, the seed and the task's extras.  A refused or failed task
+writes no file.  Outputs are byte-identical across reruns except for the
+timestamp line.
 """
 
 from __future__ import annotations
@@ -39,16 +42,31 @@ from .scenario import (
 )
 
 
-def _provenance(scenario: Scenario, **extras) -> dict:
+def _provenance(scenario: Scenario) -> dict:
     digest = hashlib.sha256(emit_scenario(scenario).encode("utf-8")).hexdigest()
-    base = {
+    return {
         "tool": f"ionctrl {__version__}",
         "scenario_sha256": digest,
         "seed": scenario.seed,
         "task": scenario.task,
     }
-    base.update(extras)
-    return base
+
+
+def _write(scenario: Scenario, base: dict, suffix: str, columns, rows, extras: dict) -> Path:
+    """Write one task output under the scenario's output prefix: a CSV
+    table, or, where `columns` is None, the text `rows` under a header of
+    raw `# key=value` lines."""
+    provenance = {**base, **extras}
+    if columns is not None:
+        return write_csv(scenario.output + suffix, columns, rows, provenance)
+    path = Path(scenario.output + suffix)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    stamp = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
+    header = "".join(
+        f"# {k}={v}\n" for k, v in provenance.items()
+    ) + f"# generated_utc={stamp.isoformat()}\n"
+    path.write_text(header + rows, encoding="utf-8")
+    return path
 
 
 def _closed_subspace(scenario: Scenario) -> list[int]:
@@ -58,7 +76,7 @@ def _closed_subspace(scenario: Scenario) -> list[int]:
     return sub
 
 
-def run_zeros(scenario: Scenario) -> list[Path]:
+def run_zeros(scenario: Scenario) -> list[tuple]:
     p = scenario.task_params
     # the curve is checked first: it is cheap, and the eigensolve is O(degree^3)
     xs = np.linspace(0.0, p["grid_max"], p["grid_points"])
@@ -73,14 +91,14 @@ def run_zeros(scenario: Scenario) -> list[Path]:
         roots = laguerre_zeros(p["degree"], p["order"])
     except ValueError as exc:
         raise ScenarioError(f"task.degree: {exc}") from exc
-    prov = _provenance(scenario, degree=p["degree"], order=p["order"])
+    extras = {"degree": p["degree"], "order": p["order"]}
     return [
-        write_csv(scenario.output + "_zeros.csv", ["index", "root"], list(enumerate(roots)), prov),
-        write_csv(scenario.output + "_curve.csv", ["x", "value"], curve, prov),
+        ("_zeros.csv", ["index", "root"], list(enumerate(roots)), extras),
+        ("_curve.csv", ["x", "value"], curve, extras),
     ]
 
 
-def run_matelem(scenario: Scenario) -> list[Path]:
+def run_matelem(scenario: Scenario) -> list[tuple]:
     from .fock import displacement_element
 
     model = scenario.model
@@ -91,39 +109,25 @@ def run_matelem(scenario: Scenario) -> list[Path]:
         for n_from in range(max_n + 1):
             elem = displacement_element(n_to, n_from, eta)
             rows.append((n_to, n_from, elem.real, elem.imag, abs(elem)))
-    prov = _provenance(scenario, eta=eta, max_n=max_n)
-    return [
-        write_csv(
-            scenario.output + "_matelem.csv",
-            ["n_to", "n_from", "re", "im", "magnitude"],
-            rows,
-            prov,
-        )
-    ]
+    extras = {"eta": eta, "max_n": max_n}
+    return [("_matelem.csv", ["n_to", "n_from", "re", "im", "magnitude"], rows, extras)]
 
 
-def run_graph(scenario: Scenario) -> list[Path]:
+def run_graph(scenario: Scenario) -> list[tuple]:
     model = scenario.model
     graph = build_graph(model, list(scenario.colors), threshold=scenario.threshold)
-    prov = _provenance(scenario, threshold=scenario.threshold)
     edge_rows = [(e.a, e.b, e.weight, e.color) for e in graph.edges]
     vertex_rows = [
         (i, state.spin_label(), state.phonon) for i, state in enumerate(graph.vertices)
     ]
+    extras = {"threshold": scenario.threshold}
     return [
-        write_csv(
-            scenario.output + "_edges.csv",
-            ["from_index", "to_index", "weight", "color_tag"],
-            edge_rows,
-            prov,
-        ),
-        write_csv(
-            scenario.output + "_vertices.csv", ["index", "spins", "n"], vertex_rows, prov
-        ),
+        ("_edges.csv", ["from_index", "to_index", "weight", "color_tag"], edge_rows, extras),
+        ("_vertices.csv", ["index", "spins", "n"], vertex_rows, extras),
     ]
 
 
-def run_liealg(scenario: Scenario) -> list[Path]:
+def run_liealg(scenario: Scenario) -> list[tuple]:
     model = scenario.model
     p = scenario.task_params
     drift = build_drift(model)
@@ -143,28 +147,26 @@ def run_liealg(scenario: Scenario) -> list[Path]:
     except SweepTooLargeError as exc:
         raise ScenarioError(f"task.max_dim: {exc}") from exc
     verdict = controllability_verdict(result, space_dim)
-    prov = _provenance(
-        scenario,
-        subspace=p["subspace"],
-        space_dim=space_dim,
-        dimension=result.dimension,
-        saturated=result.saturated,
-        verdict=verdict,
-    )
-    return [
-        write_csv(
-            scenario.output + "_liealg.csv",
-            ["generation", "new_directions", "cumulative_dimension"],
-            list(result.history),
-            prov,
-        )
-    ]
+    extras = {
+        "subspace": p["subspace"],
+        "space_dim": space_dim,
+        "dimension": result.dimension,
+        "saturated": result.saturated,
+        "verdict": verdict,
+    }
+    columns = ["generation", "new_directions", "cumulative_dimension"]
+    return [("_liealg.csv", columns, list(result.history), extras)]
 
 
-def run_evolve(scenario: Scenario) -> list[Path]:
+def run_evolve(scenario: Scenario) -> list[tuple]:
     model = scenario.model
     p = scenario.task_params
     psi0 = parse_state_spec(p["initial"], model.basis, "task.initial")
+    sub = None  # found before propagating, so an unclosed subspace is refused first
+    if p.get("subspace") == "closed":
+        sub = _closed_subspace(scenario)
+    elif "subspace" in p:
+        sub = list(range(model.basis.dimension))
     traj = propagate(
         model, scenario.schedule(), psi0, samples_per_segment=p["samples_per_segment"]
     )
@@ -172,37 +174,17 @@ def run_evolve(scenario: Scenario) -> list[Path]:
     for t, state in zip(traj.times, traj.states):
         for i in np.nonzero(np.abs(state) > 1e-12)[0]:
             rows.append((float(t), int(i), state[i].real, state[i].imag))
-    prov = _provenance(scenario, samples_per_segment=p["samples_per_segment"])
-    paths = [
-        write_csv(
-            scenario.output + "_trajectory.csv",
-            ["time", "index", "re_amp", "im_amp"],
-            rows,
-            prov,
-        )
-    ]
-    if "subspace" in p:
-        if p["subspace"] == "closed":
-            sub = _closed_subspace(scenario)
-        else:
-            sub = list(range(model.basis.dimension))
+    extras = {"samples_per_segment": p["samples_per_segment"]}
+    outputs = [("_trajectory.csv", ["time", "index", "re_amp", "im_amp"], rows, extras)]
+    if sub is not None:
         series = subspace_population(traj, sub)
         pop_rows = [(float(t), float(v)) for t, v in zip(traj.times, series)]
-        pop_prov = _provenance(
-            scenario, subspace_size=len(sub), max_leakage=leakage(traj, sub)
-        )
-        paths.append(
-            write_csv(
-                scenario.output + "_population.csv",
-                ["time", "subspace_population"],
-                pop_rows,
-                pop_prov,
-            )
-        )
-    return paths
+        extras = {"subspace_size": len(sub), "max_leakage": leakage(traj, sub)}
+        outputs.append(("_population.csv", ["time", "subspace_population"], pop_rows, extras))
+    return outputs
 
 
-def run_laweberly(scenario: Scenario) -> list[Path]:
+def run_laweberly(scenario: Scenario) -> list[tuple]:
     model = scenario.model
     target = parse_state_spec(scenario.task_params["target"], model.basis, "task.target")
     schedule = law_eberly_sequence(model, target)
@@ -219,20 +201,12 @@ def run_laweberly(scenario: Scenario) -> list[Path]:
         )
         for i, seg in enumerate(schedule.segments)
     ]
-    prov = _provenance(
-        scenario, segments=len(schedule.segments), replay_fidelity=fidelity
-    )
-    return [
-        write_csv(
-            scenario.output + "_laweberly.csv",
-            ["segment", "ion", "sideband", "rabi", "phase", "duration"],
-            rows,
-            prov,
-        )
-    ]
+    extras = {"segments": len(schedule.segments), "replay_fidelity": fidelity}
+    columns = ["segment", "ion", "sideband", "rabi", "phase", "duration"]
+    return [("_laweberly.csv", columns, rows, extras)]
 
 
-def run_optimize(scenario: Scenario) -> list[Path]:
+def run_optimize(scenario: Scenario) -> list[tuple]:
     try:  # the best pulse's scenario records the output path as text
         scenario.output.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -262,18 +236,10 @@ def run_optimize(scenario: Scenario) -> list[Path]:
         fid, purity = spin_fidelity(final, target, model.basis)
         extras = {"best_score": score, "fidelity": fid, "purity": purity}
 
-    prov = _provenance(scenario, **extras)
     rows = [
         (h.generation, h.best_score, h.mean_score, h.mutation_scale) for h in history
     ]
-    paths = [
-        write_csv(
-            scenario.output + "_optlog.csv",
-            ["generation", "best_score", "mean_score", "mutation_scale"],
-            rows,
-            prov,
-        )
-    ]
+    columns = ["generation", "best_score", "mean_score", "mutation_scale"]
 
     # best pulse re-emitted as a runnable evolve scenario
     n_colors = len(scenario.colors)
@@ -290,15 +256,10 @@ def run_optimize(scenario: Scenario) -> list[Path]:
         seed=scenario.seed,
         threshold=scenario.threshold,
     )
-    best_path = Path(scenario.output + "_best.yaml")
-    best_path.parent.mkdir(parents=True, exist_ok=True)
-    stamp = datetime.datetime.now(datetime.timezone.utc).replace(microsecond=0)
-    header = "".join(
-        f"# {k}={v}\n" for k, v in prov.items()
-    ) + f"# generated_utc={stamp.isoformat()}\n"
-    best_path.write_text(header + emit_scenario(replay), encoding="utf-8")
-    paths.append(best_path)
-    return paths
+    return [
+        ("_optlog.csv", columns, rows, extras),
+        ("_best.yaml", None, emit_scenario(replay), extras),
+    ]
 
 
 _RUNNERS = {
@@ -348,13 +309,21 @@ def main(argv=None) -> int:
         output = scenario.output
         if args.out is not None:
             output = str(Path(args.out) / Path(scenario.output).name)
-        paths = _RUNNERS[scenario.task](scenario.with_overrides(output=output, seed=args.seed))
+        scenario = scenario.with_overrides(output=output, seed=args.seed)
+        outputs = _RUNNERS[scenario.task](scenario)
+        base = _provenance(scenario)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        paths = [_write(scenario, base, *out) for out in outputs]
+    except OSError as exc:
+        field = "output" if args.out is None else "--out"
+        print(f"error: {field}: cannot write: {exc}", file=sys.stderr)
+        return 2
     for path in paths:
         print(path)
     return 0

@@ -544,7 +544,70 @@ output: {tmp_path}/e
     capsys.readouterr()
     assert main(["run", str(scn)]) == 2
     assert "task.subspace" in capsys.readouterr().err
-    assert list(tmp_path.glob("e_population*")) == []
+    assert list(tmp_path.glob("e_*")) == []
+
+
+@pytest.mark.parametrize("override, field", [(True, "--out"), (False, "output")])
+def test_unwritable_output_exits_2_naming_field(tmp_path, capsys, override, field):
+    """An output path under a regular file cannot be written; the error
+    names the command-line override or the document field that set it."""
+    blocker = write(tmp_path, "blocker", "")
+    out = blocker / "sub"
+    scn = write(
+        tmp_path,
+        "zeros.yaml",
+        f"""
+model: {{ions: 1, lamb_dicke: 0.1, cutoff: 4}}
+task: {{kind: zeros, degree: 2}}
+output: {"z" if override else out / "z"}
+""",
+    )
+    assert main(["run", str(scn), *(["--out", str(out)] if override else [])]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {field}: cannot write" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_unreachable_laweberly_target_exits_1_without_output(tmp_path, capsys):
+    # eta^2 = 2 - sqrt(2) is the smallest zero of L_2^0: the carrier cannot
+    # lift |d, 2> to |u, 2>, so |d, 3> is out of reach
+    scn = write(
+        tmp_path,
+        "le.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.5857864376269049, cutoff: 8}}
+task: {{kind: laweberly, target: [[d, 3, 1.0, 0.0]]}}
+output: {tmp_path}/le
+""",
+    )
+    assert main(["run", str(scn)]) == 1
+    assert "carrier coupling vanishes at rung 2" in capsys.readouterr().err
+    assert list(tmp_path.glob("le*")) == [tmp_path / "le.yaml"]
+
+
+def test_full_subspace_keeps_all_population(tmp_path):
+    scn = write(
+        tmp_path,
+        "full.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.3, cutoff: 12}}
+colors: [{{ion: 0, sideband: carrier}}, {{ion: 0, sideband: blue}}]
+schedule: {{segments: [{{colors: [0, 1], duration: 3.0}}]}}
+task: {{kind: evolve, samples_per_segment: 8, subspace: full}}
+output: {tmp_path}/e
+""",
+    )
+    assert main(["run", str(scn)]) == 0
+    path = tmp_path / "e_population.csv"
+    _, rows = read_rows(path)
+    assert len(rows) == 9
+    assert all(abs(float(v) - 1.0) <= 1e-12 for _, v in rows)
+    header = dict(
+        line[2:].split("=", 1) for line in path.read_text().splitlines() if line.startswith("# ")
+    )
+    assert header["subspace_size"] == "24"
+    assert float(header["max_leakage"]) <= 1e-12
 
 
 def test_optimize_out_not_utf8_exits_2_before_search(tmp_path, capsys):

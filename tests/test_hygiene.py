@@ -2,8 +2,9 @@
 module imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
-non-resonant paths, the raising index maps have four readers, and YAML
-is read and written only by the scenario parser and emitter."""
+non-resonant paths, the raising index maps have four readers, YAML
+is read and written only by the scenario parser and emitter, and the
+command line writes files in one place."""
 
 import ast
 import importlib
@@ -173,3 +174,23 @@ def test_yaml_is_read_and_written_by_the_scenario_pair_alone():
         and node.func.value.id == "yaml"
     }
     assert calls == {"scenario.parse_scenario", "scenario.emit_scenario"}
+
+
+def test_cli_writes_files_in_one_place():
+    """Inside `cli`, only `_write` calls `write_csv` or a file-writing
+    method: every task returns its outputs, and `main` writes them after
+    the task has succeeded, so a refused or failed run writes no file.
+    `main` alone hashes the scenario, once per run."""
+    writers = ("write_csv", "write_text", "write_bytes", "mkdir", "open", "touch")
+    calls = {
+        getattr(top, "name", "<module>")
+        for top in parse("cli").body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name) and node.func.id in writers
+            or isinstance(node.func, ast.Attribute) and node.func.attr in writers
+        )
+    }
+    assert calls == {"_write"}
+    assert function_users("_provenance") == {"cli.main"}
