@@ -11,7 +11,6 @@ approximation.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,17 +98,26 @@ def _parity_propagate(even, odd, flat, column, value, amp, taus, psi) -> np.ndar
 
     Every color flips one spin, so H = [[0, B], [B_dag, 0]] on the even
     and odd sectors, B = sum_c amp_c raise_c + conj(amp_c) lower_c, scattered
-    from the `_parity_blocks` entries.  With B = U S V_dag, one stacked SVD
-    per segment serves every state and time:
+    from the `_parity_blocks` entries: assigned when their positions are
+    distinct, summed in entry order when an (ion, sideband) pair repeats.
+    With B = U S V_dag, one stacked SVD per segment serves every state and
+    time:
     exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
                  [-i V sin(St) U_dag, V cos(St) V_dag]].
     """
     coeff = np.concatenate([amp, amp.conj()], axis=2)
+    taken = np.zeros(len(even) * len(odd), dtype=bool)
+    taken[flat] = True
+    distinct = np.count_nonzero(taken) == len(flat)
     # column vectors per state, (P, sector, K)
     psi_even, psi_odd = psi[..., even, None], psi[..., odd, None]
     for s in range(coeff.shape[1]):
         b = np.zeros((len(coeff), len(even) * len(odd)), dtype=complex)
-        np.add.at(b, (slice(None), flat), coeff[:, s, column] * value)
+        if distinct:
+            # + 0.0 turns -0.0 into +0.0, as adding into the zeros would
+            b[:, flat] = coeff[:, s, column] * value + 0.0
+        else:
+            np.add.at(b, (slice(None), flat), coeff[:, s, column] * value)
         u, sigma, vh = np.linalg.svd(b.reshape(-1, len(even), len(odd)))
         theta = sigma[..., None] * taus[:, None, :]
         cos, sin = np.cos(theta), np.sin(theta)
@@ -162,6 +170,38 @@ def _manifold_terms(model: SystemModel, color: FieldColor):
             yield dn - resonant_shift, maps
 
 
+def _frequency_table(model: SystemModel, colors):
+    """The colors' manifold terms as a (frequencies, support) table of
+    amp * value at the flat positions upper * d + lower they touch, one
+    row per frequency multiple m in order of first appearance; returns
+    i m omega of each row, the support and the table."""
+    d = model.basis.dimension
+    rows, terms = {}, []
+    for color in colors:
+        amp = color.rabi * np.exp(1j * color.phase)
+        for mult, (upper, lower, value) in _manifold_terms(model, color):
+            terms.append((rows.setdefault(mult, len(rows)), upper * d + lower, amp * value))
+    # (0, 0) lies on the diagonal, which no raising term reaches; kept in
+    # the support, it gives every row product two or more entries, so numpy
+    # takes the fused multiply-add vector loop that the dense build took,
+    # not its one-element loop, which rounds differently
+    taken = np.zeros(d * d, dtype=bool)
+    taken[0] = True
+    for _, flat, _ in terms:
+        taken[flat] = True
+    support = np.flatnonzero(taken)
+    table = np.zeros((len(rows), len(support)), dtype=complex)
+    for row, flat, entry in terms:
+        table[row, np.searchsorted(support, flat)] += entry
+    freqs = np.array([1j * mult * model.trap.mode_freq for mult in rows], dtype=complex)
+    return freqs, support, table
+
+
+# Bytes of one (steps, support) block of step amplitudes the oracle builds
+# at a time; the block and its product temporary each stay this small.
+_STEP_BLOCK_BYTES = 32 * 2**10
+
+
 def _oracle_final_state(
     model: SystemModel,
     schedule: PulseSchedule,
@@ -169,25 +209,38 @@ def _oracle_final_state(
     dt: float,
 ):
     """Single pass of the time-dependent integrator; returns the list of
-    segment-boundary (time, state) samples."""
-    omega = model.trap.mode_freq
+    segment-boundary (time, state) samples.
+
+    For a block of steps, the rows of each segment's `_frequency_table`
+    weighted by e^{i m omega t_mid} are summed one frequency at a time, in
+    the table's order, over the whole support: each entry then goes through
+    the same products and sums as in a build of one dense matrix per
+    frequency, and every Hamiltonian comes out bit for bit the same.  Each
+    step's row is scattered into the raising half h of its Hamiltonian
+    h + h_dag, which is factored by one dense eigensolve.  No dense matrix
+    outlives its step.
+    """
+    d = model.basis.dimension
     psi = np.asarray(psi0, dtype=complex)
     t0 = 0.0
     samples = [(0.0, psi)]
     for seg in schedule.segments:
-        groups = defaultdict(lambda: np.zeros((model.basis.dimension,) * 2, dtype=complex))
-        for color in seg.colors:
-            amp = color.rabi * np.exp(1j * color.phase)
-            for mult, (upper, lower, value) in _manifold_terms(model, color):
-                groups[mult][upper, lower] += amp * value
+        freqs, support, table = _frequency_table(model, seg.colors)
         n_steps = max(1, math.ceil(seg.duration / dt))
         h_step = seg.duration / n_steps
-        for step in range(n_steps):
-            t_mid = t0 + (step + 0.5) * h_step
-            h = np.zeros((model.basis.dimension,) * 2, dtype=complex)
-            for mult, w_mat in groups.items():
-                h += np.exp(1j * mult * omega * t_mid) * w_mat
-            psi = _evolve(h + h.conj().T, psi, [h_step])[0]
+        block = max(1, _STEP_BLOCK_BYTES // (16 * len(support)))
+        for start in range(0, n_steps, block):
+            t_mid = t0 + (np.arange(start, min(start + block, n_steps)) + 0.5) * h_step
+            acc = np.zeros((len(t_mid), len(support)), dtype=complex)
+            for phase, row in zip(np.exp(np.multiply.outer(freqs, t_mid)), table):
+                # phase first, as in the dense build: numpy's vector complex
+                # product is not symmetric in its last bit
+                acc += phase[:, None] * row
+            for step_h in acc:
+                h = np.zeros((d, d), dtype=complex)
+                h.reshape(-1)[support] = step_h
+                h += h.conj().T
+                psi = _evolve(h, psi, [h_step])[0]
         t0 += seg.duration
         samples.append((t0, psi))
     return samples
@@ -208,7 +261,7 @@ def propagate_timedep_oracle(
     result returned; a final-state shift above 1e-6 is an error.
     """
     psi = _check_normalized(psi0, "psi0")
-    if dt <= 0 or dt * model.trap.mode_freq >= 0.05:
+    if isinstance(dt, (bool, np.bool_)) or not (0 < dt and dt * model.trap.mode_freq < 0.05):
         raise ValueError("dt must satisfy dt * mode_freq < 0.05")
     for color in (c for seg in schedule.segments for c in seg.colors):
         model.check_color(color)
