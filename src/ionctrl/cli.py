@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .csvio import write_csv
 from .dynamics import law_eberly_sequence, leakage, propagate, subspace_population
-from .fock import BasisState, SPIN_DOWN
+from .fock import BasisState, SPIN_DOWN, displacement_element
 from .graph import build_graph, closed_subspace
 from .laguerre import laguerre_curve, laguerre_zeros
 from .liealg import SweepTooLargeError, controllability_verdict, dynamical_lie_algebra
-from .model import build_control, build_drift
+from .model import _generators
 from .optimize import Objective, SearchConfig, optimize, spin_fidelity, state_fidelity
 from .scenario import (
     Scenario,
@@ -69,7 +69,11 @@ def _write(scenario: Scenario, base: dict, suffix: str, columns, rows, extras: d
     return path
 
 
-def _closed_subspace(scenario: Scenario) -> list[int]:
+def _subspace(scenario: Scenario) -> list[int]:
+    """Ascending basis indices of the task's `subspace`: every index for
+    `full`, the closed component of |all-down, 0> for `closed`."""
+    if scenario.task_params["subspace"] == "full":
+        return list(range(scenario.model.basis.dimension))
     sub = closed_subspace(scenario.model, list(scenario.colors), threshold=scenario.threshold)
     if sub is None:
         raise ScenarioError("task.subspace: no finite closed subspace at this Lamb-Dicke parameter")
@@ -99,8 +103,6 @@ def run_zeros(scenario: Scenario) -> list[tuple]:
 
 
 def run_matelem(scenario: Scenario) -> list[tuple]:
-    from .fock import displacement_element
-
     model = scenario.model
     max_n = scenario.task_params["max_n"]
     eta = model.effective_eta(0)
@@ -128,28 +130,22 @@ def run_graph(scenario: Scenario) -> list[tuple]:
 
 
 def run_liealg(scenario: Scenario) -> list[tuple]:
-    model = scenario.model
     p = scenario.task_params
-    drift = build_drift(model)
-    controls = [build_control(model, c) for c in scenario.colors]
-    if p["subspace"] == "closed":
-        sub = _closed_subspace(scenario)
-        idx = np.array(sub)
-        drift = drift[np.ix_(idx, idx)]
-        controls = [c[np.ix_(idx, idx)] for c in controls]
-        space_dim = len(sub)
-    else:
-        space_dim = model.basis.dimension
+    sub = _subspace(scenario)
+    # built on the subspace's indices alone: a closed sweep holds no d x d operator
+    *controls, drift = _generators(scenario.model, scenario.colors, sub)
+    for k in controls:
+        k += k.conj().T  # the raising half plus its adjoint
     try:
         result = dynamical_lie_algebra(
             drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim")
         )
     except SweepTooLargeError as exc:
         raise ScenarioError(f"task.max_dim: {exc}") from exc
-    verdict = controllability_verdict(result, space_dim)
+    verdict = controllability_verdict(result, len(sub))
     extras = {
         "subspace": p["subspace"],
-        "space_dim": space_dim,
+        "space_dim": len(sub),
         "dimension": result.dimension,
         "saturated": result.saturated,
         "verdict": verdict,
@@ -162,19 +158,23 @@ def run_evolve(scenario: Scenario) -> list[tuple]:
     model = scenario.model
     p = scenario.task_params
     psi0 = parse_state_spec(p["initial"], model.basis, "task.initial")
-    sub = None  # found before propagating, so an unclosed subspace is refused first
-    if p.get("subspace") == "closed":
-        sub = _closed_subspace(scenario)
-    elif "subspace" in p:
-        sub = list(range(model.basis.dimension))
-    traj = propagate(
-        model, scenario.schedule(), psi0, samples_per_segment=p["samples_per_segment"]
-    )
+    # found before propagating, so an unclosed subspace is refused first
+    sub = _subspace(scenario) if "subspace" in p else None
+    n = p["samples_per_segment"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = propagate(model, scenario.schedule(), psi0, samples_per_segment=n)
+    finite = np.isfinite(traj.times) & np.isfinite(traj.states).all(axis=1)
+    if not finite.all():
+        # row 0 is the initial state, then n rows per segment
+        seg = (int(np.argmin(finite)) - 1) // n
+        raise ScenarioError(
+            f"schedule.segments[{seg}]: its samples are not finite; lower its rabi or duration"
+        )
     rows = []
     for t, state in zip(traj.times, traj.states):
         for i in np.nonzero(np.abs(state) > 1e-12)[0]:
             rows.append((float(t), int(i), state[i].real, state[i].imag))
-    extras = {"samples_per_segment": p["samples_per_segment"]}
+    extras = {"samples_per_segment": n}
     outputs = [("_trajectory.csv", ["time", "index", "re_amp", "im_amp"], rows, extras)]
     if sub is not None:
         series = subspace_population(traj, sub)

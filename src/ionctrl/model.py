@@ -58,6 +58,12 @@ class TrapConfig:
         mags = [abs(w) for w in self.mode_weights]
         if max(mags) - min(mags) > 1e-12:
             raise ValueError("mode_weights must have equal magnitude across ions")
+        eta = max(mags) * self.lamb_dicke
+        # a multiplication, not **: a float square that overflows raises
+        if not eta * eta < np.inf:
+            raise ValueError(
+                f"lamb_dicke times the mode weight must have a finite square, got {self.lamb_dicke}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,6 +184,34 @@ def _raising(model: SystemModel, ion: int, dn: int) -> tuple[np.ndarray, np.ndar
     return maps
 
 
+def _generators(model: SystemModel, colors, indices=None):
+    """Each color's unit-Rabi raising half, then the drift (mode frequency
+    times phonon number), as dense matrices on the ascending basis
+    `indices` (every index when None), scattered from the index maps;
+    entries with an end outside `indices` are dropped.  A generator, so a
+    caller that takes only the first matrix builds no other."""
+    d = model.basis.dimension
+    size, where = d, None
+    if indices is not None:
+        size, where = len(indices), np.full(d, -1)
+        where[indices] = np.arange(size)
+
+    def scatter(upper, lower, value):
+        if where is not None:
+            upper, lower = where[upper], where[lower]
+            keep = (upper >= 0) & (lower >= 0)
+            upper, lower, value = upper[keep], lower[keep], value[keep]
+        k = np.zeros((size, size), dtype=complex)
+        k[upper, lower] = value
+        return k
+
+    for color in colors:
+        model.check_color(color)
+        yield scatter(*_raising(model, color.target_ion, PHONON_SHIFT[color.sideband]))
+    every = np.arange(d)
+    yield scatter(every, every, model.trap.mode_freq * (every % model.basis.fock_cutoff))
+
+
 def control_raising(model: SystemModel, color: FieldColor) -> np.ndarray:
     """Raising half of one color's control operator at unit Rabi.
 
@@ -187,18 +221,13 @@ def control_raising(model: SystemModel, color: FieldColor) -> np.ndarray:
     rabi * (e^{i phase} K + h.c.) when a schedule is realized.  Each call
     returns a new dense array, scattered from the cached index maps.
     """
-    model.check_color(color)
-    upper, lower, value = _raising(model, color.target_ion, PHONON_SHIFT[color.sideband])
-    k = np.zeros((model.basis.dimension,) * 2, dtype=complex)
-    k[upper, lower] = value
-    return k
+    return next(_generators(model, (color,)))
 
 
 def build_drift(model: SystemModel) -> np.ndarray:
     """Field-free Hamiltonian: mode frequency times phonon number,
     repeated over every spin sector."""
-    n_diag = model.trap.mode_freq * np.arange(model.basis.fock_cutoff, dtype=float)
-    return np.diag(np.tile(n_diag, 2**model.basis.ion_count)).astype(complex)
+    return next(_generators(model, ()))
 
 
 def build_control(model: SystemModel, color: FieldColor) -> np.ndarray:

@@ -283,7 +283,8 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
     kind = _get(data, "kind", str, "task", required=True)
     if kind not in TASKS:
         _fail("task.kind", f"must be one of {TASKS}")
-    # liealg builds dense d x d operators; evolve, laweberly, optimize factor d/2 x d/2 blocks
+    # liealg on subspace: full builds dense d x d operators (closed builds them on the
+    # closed states alone); evolve, laweberly, optimize factor d/2 x d/2 blocks
     dim = scenario_model.basis.dimension
     if kind not in ("zeros", "matelem") and 16 * dim * dim > 2**30:
         _fail("model.cutoff", f"a {dim}x{dim} complex operator would exceed 1 GiB")

@@ -218,6 +218,73 @@ output: {tmp_path}/lie
     assert "# dimension=196" in text
 
 
+def test_closed_liealg_peak_memory(tmp_path):
+    """The 14-state liealg at cutoff 256 (d = 512) peaks below one dense
+    d x d operator: its generators are built on the closed states alone."""
+    scn = write(
+        tmp_path,
+        "lie.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.5276681217111285, cutoff: 256}}
+colors:
+  - {{ion: 0, sideband: carrier}}
+  - {{ion: 0, sideband: blue}}
+task: {{kind: liealg, subspace: closed}}
+output: {tmp_path}/lie
+""",
+    )
+    d = 2 * 256
+    tracemalloc.start()
+    try:
+        assert main(["run", str(scn)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "# space_dim=14" in (tmp_path / "lie_liealg.csv").read_text()
+    assert peak < 16 * d * d
+
+
+def test_non_finite_evolve_exits_2_naming_segment(tmp_path, capsys):
+    """A phase rabi * duration beyond double precision turns the second
+    segment's samples into NaN; the run is refused, not written without
+    them."""
+    scn = write(
+        tmp_path,
+        "huge.yaml",
+        f"""
+model: {{ions: 1, lamb_dicke: 0.1, cutoff: 4}}
+colors: [{{ion: 0, sideband: carrier, rabi: 1.0e+300}}]
+schedule:
+  segments: [{{colors: [0], duration: 1.0}}, {{colors: [0], duration: 1.0e+300}}]
+task: {{kind: evolve, subspace: full}}
+output: {tmp_path}/e
+""",
+    )
+    assert main(["run", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert "schedule.segments[1]" in err
+    assert "Warning" not in err
+    assert list(tmp_path.glob("e_*")) == []
+
+
+def test_lamb_dicke_with_overflowing_square_exits_2(tmp_path, capsys):
+    scn = write(
+        tmp_path,
+        "graph.yaml",
+        f"""
+model: {{ions: 1, lamb_dicke: 1.0e+300, cutoff: 4}}
+colors: [{{ion: 0, sideband: carrier}}]
+task: {{kind: graph}}
+output: {tmp_path}/g
+""",
+    )
+    assert main(["validate", str(scn)]) == 2
+    assert "model.lamb_dicke" in capsys.readouterr().err
+    assert main(["run", str(scn)]) == 2
+    assert "model.lamb_dicke" in capsys.readouterr().err
+    assert list(tmp_path.glob("g_*")) == []
+
+
 def test_oversized_liealg_sweep_exits_2_naming_max_dim(tmp_path, capsys):
     scn = write(
         tmp_path,

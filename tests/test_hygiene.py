@@ -148,10 +148,10 @@ def test_dense_exponential_serves_only_non_resonant_paths():
 
 def test_raising_index_maps_have_four_readers():
     """`model._raising` (the index maps of one manifold) is read only by
-    the dense `control_raising`, the parity blocks of the propagator, the
+    the dense generator builder, the parity blocks of the propagator, the
     coupling graph and the oracle's manifold terms."""
     assert function_users("_raising") == {
-        "model.control_raising",
+        "model._generators",
         "dynamics._parity_blocks",
         "graph.build_graph",
         "dynamics._manifold_terms",

@@ -17,7 +17,7 @@ from ionctrl import (
     laguerre_zeros,
     ldl_coupling,
 )
-from ionctrl.model import PHONON_SHIFT, _raising
+from ionctrl.model import PHONON_SHIFT, _generators, _raising
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -50,6 +50,14 @@ class TestConfigValidation:
             TrapConfig(mode_freq=1.0, lamb_dicke=-0.1)
         with pytest.raises(ValueError):
             TrapConfig(mode_freq=1.0, lamb_dicke=0.1, mode_weights=(1.0, 0.5))
+
+    def test_lamb_dicke_square_must_be_finite(self):
+        # the displacement elements need eta**2 of the largest participation
+        with pytest.raises(ValueError, match="lamb_dicke"):
+            TrapConfig(mode_freq=1.0, lamb_dicke=1e300)
+        with pytest.raises(ValueError, match="lamb_dicke"):
+            TrapConfig(mode_freq=1.0, lamb_dicke=1e150, mode_weights=(-1e10, 1e10))
+        TrapConfig(mode_freq=1.0, lamb_dicke=1e150)
 
     def test_color(self):
         with pytest.raises(ValueError):
@@ -217,6 +225,56 @@ class TestRaising:
                 k = control_raising(model, FieldColor(ion, sideband))
                 assert np.array_equal(k, raising_reference(model, ion, dn))
                 assert np.array_equal(k, densify(_raising(model, ion, dn), model.basis.dimension))
+
+
+def sliced_reference(model, colors, indices):
+    """The dense full-basis drift and controls sliced to `indices`."""
+    idx = np.ix_(indices, indices)
+    return build_drift(model)[idx], [build_control(model, c)[idx] for c in colors]
+
+
+class TestGenerators:
+    """`_generators` on an index set equals, byte for byte, the dense
+    full-basis operators sliced to that set."""
+
+    @pytest.mark.parametrize(
+        "case", ["fourteen_state", "ldl_full", "two_ion_28", "non_contiguous"]
+    )
+    def test_matches_dense_sliced(self, case):
+        carrier, blue = FieldColor(0, "carrier"), FieldColor(0, "blue")
+        if case == "fourteen_state":
+            model, colors = one_ion(np.sqrt(ROOT_BLUE), 20), [carrier, blue]
+            indices = closed_subspace(model, colors)
+            assert len(indices) == 14
+        elif case == "ldl_full":
+            model = one_ion(0.1, 6, ldl=True)
+            colors = [carrier, blue, FieldColor(0, "red")]
+            indices = list(range(model.basis.dimension))
+        elif case == "two_ion_28":
+            model = two_ion(np.sqrt(ROOT_BLUE), 16)
+            colors = [blue, FieldColor(1, "blue"), carrier]
+            indices = closed_subspace(model, colors)
+            assert len(indices) == 28
+        else:
+            model = two_ion(0.3, 5)
+            colors = [FieldColor(1, "red"), carrier, blue]
+            indices = [0, 2, 3, 6, 7, 11, 14, 19]
+        *raising, drift = _generators(model, colors, indices)
+        ref_drift, ref_controls = sliced_reference(model, colors, indices)
+        assert drift.shape == (len(indices),) * 2
+        assert drift.tobytes() == ref_drift.tobytes()
+        assert len(raising) == len(colors)
+        for k, ref in zip(raising, ref_controls):
+            assert (k + k.conj().T).tobytes() == ref.tobytes()
+
+    def test_full_basis_calls(self):
+        model = two_ion(0.3, 4)
+        color = FieldColor(1, "blue")
+        k, drift = _generators(model, [color])
+        assert k.tobytes() == control_raising(model, color).tobytes()
+        assert drift.tobytes() == build_drift(model).tobytes()
+        reference = np.diag(np.tile(np.arange(4.0), 4)).astype(complex)
+        assert drift.tobytes() == reference.tobytes()
 
 
 class TestClosedSubspace:
