@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .csvio import write_csv
 from .dynamics import law_eberly_sequence, leakage, propagate, subspace_population
-from .fock import BasisState, SPIN_DOWN, displacement_element
+from .fock import BasisState, SPIN_DOWN, _manifold
 from .graph import build_graph, closed_subspace
 from .laguerre import laguerre_curve, laguerre_zeros
-from .liealg import SweepTooLargeError, controllability_verdict, dynamical_lie_algebra
+from .liealg import SweepTooLargeError, _sweep_cap, controllability_verdict, dynamical_lie_algebra
 from .model import _generators
 from .optimize import Objective, SearchConfig, optimize, spin_fidelity, state_fidelity
 from .scenario import (
@@ -106,10 +106,20 @@ def run_matelem(scenario: Scenario) -> list[tuple]:
     model = scenario.model
     max_n = scenario.task_params["max_n"]
     eta = model.effective_eta(0)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonals = [_manifold(dn, eta, max_n + 1 - dn) for dn in range(max_n + 1)]
+    except OverflowError:  # eta**dn
+        diagonals = None
+    if diagonals is None or not all(np.isfinite(d).all() for d in diagonals):
+        raise ScenarioError(
+            f"model.lamb_dicke: the displacement elements up to max_n={max_n} overflow "
+            f"double precision at eta={eta}; lower lamb_dicke or task.max_n"
+        )
     rows = []
     for n_to in range(max_n + 1):
         for n_from in range(max_n + 1):
-            elem = displacement_element(n_to, n_from, eta)
+            elem = complex(diagonals[abs(n_to - n_from)][min(n_to, n_from)])
             rows.append((n_to, n_from, elem.real, elem.imag, abs(elem)))
     extras = {"eta": eta, "max_n": max_n}
     return [("_matelem.csv", ["n_to", "n_from", "re", "im", "magnitude"], rows, extras)]
@@ -132,16 +142,15 @@ def run_graph(scenario: Scenario) -> list[tuple]:
 def run_liealg(scenario: Scenario) -> list[tuple]:
     p = scenario.task_params
     sub = _subspace(scenario)
+    try:  # refused before any operator is built
+        _sweep_cap(len(sub), p.get("max_dim"))
+    except SweepTooLargeError as exc:
+        raise ScenarioError(f"task.max_dim: {exc}") from exc
     # built on the subspace's indices alone: a closed sweep holds no d x d operator
     *controls, drift = _generators(scenario.model, scenario.colors, sub)
     for k in controls:
         k += k.conj().T  # the raising half plus its adjoint
-    try:
-        result = dynamical_lie_algebra(
-            drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim")
-        )
-    except SweepTooLargeError as exc:
-        raise ScenarioError(f"task.max_dim: {exc}") from exc
+    result = dynamical_lie_algebra(drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim"))
     verdict = controllability_verdict(result, len(sub))
     extras = {
         "subspace": p["subspace"],

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laguerre import laguerre
+from .laguerre import _ladder
 
 __all__ = [
     "ConvergenceError",
@@ -142,21 +142,21 @@ def displacement_exact(eta: float, fock_cutoff: int) -> np.ndarray:
             )
 
 
-def displacement_element(n_to: int, n_from: int, eta: float) -> complex:
-    """Single matrix element <n_to| exp(i eta (a + a_dag)) |n_from>.
+def _manifold(dn: int, eta: float, count: int) -> np.ndarray:
+    """<n+dn| exp(i eta (a + a_dag)) |n> = <n| ... |n+dn> for n = 0 .. count-1: the closed
+    form i^dn exp(-eta^2/2) sqrt(n!/(n+dn)!) eta^dn L_n^dn(eta^2) from one Laguerre pass,
+    the factorial ratio a running product; eta**dn past double precision raises OverflowError."""
+    ratio = np.ones(count)
+    for k in range(1, dn + 1):
+        ratio /= np.sqrt(np.arange(k, count + k))
+    lag = np.fromiter(_ladder(dn, eta**2), float, count)
+    return 1j**dn * (np.exp(-0.5 * eta**2) * ratio * eta**dn * lag)
 
-    Closed form i^|dn| exp(-eta^2/2) sqrt(n_<!/n_>!) eta^|dn|
-    L_{n_<}^{|dn|}(eta^2); the factorial ratio is accumulated as a
-    running product so large quantum numbers do not overflow.
-    """
+
+def displacement_element(n_to: int, n_from: int, eta: float) -> complex:
+    """Single matrix element <n_to| exp(i eta (a + a_dag)) |n_from>."""
     if n_to < 0 or n_from < 0:
         raise ValueError("phonon numbers must be nonnegative")
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    dn = abs(n_to - n_from)
-    n_lo = min(n_to, n_from)
-    ratio = 1.0
-    for k in range(n_lo + 1, n_lo + dn + 1):
-        ratio /= np.sqrt(k)
-    mag = np.exp(-0.5 * eta**2) * ratio * eta**dn * laguerre(n_lo, dn, eta**2)
-    return complex(1j**dn * mag)
+    return complex(_manifold(abs(n_to - n_from), eta, min(n_to, n_from) + 1)[-1])

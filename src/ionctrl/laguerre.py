@@ -24,25 +24,28 @@ def _validate(n: int, alpha: int) -> None:
         raise ValueError(f"order alpha must be a nonnegative integer, got {alpha}")
 
 
-def laguerre(n: int, alpha: int, x):
-    """Evaluate L_n^alpha(x) by the upward three-term recurrence.
+def _ladder(alpha: int, x):
+    """Yield L_0^alpha(x), L_1^alpha(x), ... by the upward recurrence
+    (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1} from L_{-1} = 0,
+    L_0 = 1, stable for increasing k; each degree is computed when taken."""
+    prev, cur, k = np.zeros_like(x), np.ones_like(x), 0
+    while True:
+        yield cur
+        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
+        k += 1
 
-    The recurrence (k+1) L_{k+1} = (2k+1+alpha-x) L_k - (k+alpha) L_{k-1}
-    is stable in the direction of increasing k for the moderate degrees
-    (n <= ~30) used here.  Accepts scalar or array x, finite and >= 0.
-    """
+
+def laguerre(n: int, alpha: int, x):
+    """Evaluate L_n^alpha(x), the n-th value of the upward recurrence.
+    Accepts scalar or array x, finite and >= 0."""
     _validate(n, alpha)
     x_arr = np.asarray(x, dtype=float)
     # written so that NaN fails it too
     if not np.all((0 <= x_arr) & (x_arr < np.inf)):
         raise ValueError("argument x must be finite and nonnegative")
-    prev = np.ones_like(x_arr)
-    if n == 0:
-        return prev if x_arr.ndim else float(prev)
-    cur = 1.0 + alpha - x_arr
-    for k in range(1, n):
-        prev, cur = cur, ((2 * k + 1 + alpha - x_arr) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if x_arr.ndim else float(cur)
+    for _, value in zip(range(n + 1), _ladder(alpha, x_arr)):
+        pass
+    return value if x_arr.ndim else float(value)
 
 
 def laguerre_zeros(n: int, alpha: int) -> list[float]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PHONON_SHIFT, FieldColor, SIDEBANDS, SystemModel, coupling_strength
+from .model import PHONON_SHIFT, SIDEBANDS, SystemModel, _rungs
 
 __all__ = [
     "LieAlgebraResult",
@@ -112,6 +112,26 @@ def _sweep_bytes(cap: int, d: int) -> int:
     return d * d * (24 * cap + max(40 * (cap - 1), 16 * cap))
 
 
+def _sweep_cap(d: int, max_dim) -> int:
+    """The number of elements a sweep of dimension d may find,
+    min(max_dim, d^2); raises ValueError for a max_dim that is not a
+    positive integer, and SweepTooLargeError where _sweep_bytes exceeds
+    the limit, so a caller can refuse before it builds any operator."""
+    if max_dim is not None and (
+        isinstance(max_dim, (bool, np.bool_)) or not 1 <= max_dim < np.inf or max_dim != int(max_dim)
+    ):
+        raise ValueError(f"max_dim must be a positive integer, got {max_dim!r}")
+    cap = d * d if max_dim is None else min(int(max_dim), d * d)
+    needed = _sweep_bytes(cap, d)
+    if needed > _MAX_SWEEP_BYTES:
+        raise SweepTooLargeError(
+            f"a sweep over {cap} elements of dimension {d} needs about "
+            f"{needed / 2**20:.0f} MiB, above the "
+            f"{_MAX_SWEEP_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
+        )
+    return cap
+
+
 def dynamical_lie_algebra(
     drift: np.ndarray,
     controls,
@@ -158,18 +178,7 @@ def dynamical_lie_algebra(
     if any(m.shape[0] != d for m in mats):
         raise ValueError("drift and controls must share one dimension")
     full = d * d
-    if max_dim is not None and (
-        isinstance(max_dim, (bool, np.bool_)) or not 1 <= max_dim < np.inf or max_dim != int(max_dim)
-    ):
-        raise ValueError(f"max_dim must be a positive integer, got {max_dim!r}")
-    cap = full if max_dim is None else min(int(max_dim), full)
-    needed = _sweep_bytes(cap, d)
-    if needed > _MAX_SWEEP_BYTES:
-        raise SweepTooLargeError(
-            f"a sweep over {cap} elements of dimension {d} needs about "
-            f"{needed / 2**20:.0f} MiB, above the "
-            f"{_MAX_SWEEP_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
-        )
+    cap = _sweep_cap(d, max_dim)
     seeds = np.array([1j * m for m in mats])
     scale = max(np.linalg.norm(s) for s in seeds)
     if scale == 0.0:
@@ -312,20 +321,16 @@ def degeneracy_report(
                 shift = PHONON_SHIFT[sideband]
                 if abs(ion.qubit_splitting + shift * omega_m - freq) > 1e-9:
                     continue
-                probe = FieldColor(target_ion=ion_index, sideband=sideband)
-                for n in range(model.basis.fock_cutoff):
-                    if not 0 <= n + shift < model.basis.fock_cutoff:
-                        continue
-                    mag = abs(coupling_strength(model, probe, n))
-                    if mag < 1e-12:
-                        continue
+                size = np.abs(_rungs(model, ion_index, shift, model.basis.fock_cutoff - abs(shift)))
+                for n_lo in np.flatnonzero(~(size < 1e-12)):
+                    n = int(n_lo) - min(shift, 0)
                     transitions.append(
                         TransitionCoupling(
                             ion=ion_index,
                             sideband=sideband,
                             n_from=n,
                             n_to=n + shift,
-                            magnitude=float(mag),
+                            magnitude=float(size[n_lo]),
                         )
                     )
         mags = [t.magnitude for t in transitions]

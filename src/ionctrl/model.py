@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import TruncatedBasis, displacement_element
+from .fock import TruncatedBasis, _manifold
 
 __all__ = [
     "SIDEBANDS",
@@ -123,48 +123,47 @@ class SystemModel:
             raise ValueError(f"color targets ion {color.target_ion}, model has {len(self.ions)}")
 
 
-def ldl_coupling(n: int, sideband: str, eta: float) -> float:
-    """First-order coupling of one rung: carrier 1, blue eta sqrt(n+1),
-    red eta sqrt(n)."""
-    if n < 0:
+def ldl_coupling(n, sideband: str, eta: float):
+    """First-order coupling of one rung, or of each rung of an array n:
+    carrier 1, blue eta sqrt(n+1), red eta sqrt(n)."""
+    rung = np.asarray(n, dtype=float)
+    if np.any(rung < 0):
         raise ValueError(f"phonon number must be nonnegative, got {n}")
     if sideband == "carrier":
-        return 1.0
-    if sideband == "blue":
-        return eta * np.sqrt(n + 1.0)
-    if sideband == "red":
-        return eta * np.sqrt(float(n))
-    raise ValueError(f"unknown sideband {sideband!r}")
+        value = np.ones_like(rung)
+    elif sideband == "blue":
+        value = eta * np.sqrt(rung + 1.0)
+    elif sideband == "red":
+        value = eta * np.sqrt(rung)
+    else:
+        raise ValueError(f"unknown sideband {sideband!r}")
+    return value if value.ndim else float(value)
 
 
-# sideband of each resonant manifold, by its phonon shift
-_SIDEBAND_OF_SHIFT = {shift: name for name, shift in PHONON_SHIFT.items()}
-
-
-def _pair_coupling(model: SystemModel, ion: int, n: int, dn: int) -> complex:
-    """<..up.., n+dn| K |..down.., n> of one ion: the exact displacement
-    element, or in LDL models the first-order coupling with the same
-    i^|dn| phase, so the LDL model and the time-dependent oracle share
-    their resonant term."""
+def _rungs(model: SystemModel, ion: int, dn: int, count: int) -> np.ndarray:
+    """<..up.., n+dn| K |..down.., n> of one ion for min(n, n+dn) = 0 .. count-1:
+    the exact displacement elements, or in LDL models (dn in -1, 0, 1, sideband
+    SIDEBANDS[dn]) the first-order couplings times i^|dn|, as in the oracle."""
     eta = model.effective_eta(ion)
-    if model.ldl:
-        return 1j ** abs(dn) * ldl_coupling(n, _SIDEBAND_OF_SHIFT[dn], eta)
-    return displacement_element(n + dn, n, eta)
+    if not model.ldl:
+        return _manifold(abs(dn), eta, count)
+    return 1j ** abs(dn) * ldl_coupling(np.arange(count) - min(dn, 0), SIDEBANDS[dn], eta)
 
 
 def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:
     """Coupling of the resonant pair starting at |down, n> for one color.
 
     Carrier pairs (down,n)<->(up,n), blue (down,n)<->(up,n+1), red
-    (down,n)<->(up,n-1).  Returns 0 for a red pair at n = 0.  LDL models
-    use the first-order real couplings; otherwise the exact complex
-    displacement matrix element.
+    (down,n)<->(up,n-1).  Returns 0j for a pair with an end below n = 0,
+    as red at n = 0.  LDL models use the first-order real couplings;
+    otherwise the exact complex displacement matrix element.
     """
     model.check_color(color)
     shift = PHONON_SHIFT[color.sideband]
-    if n + shift < 0:
-        return 0.0
-    return complex(_pair_coupling(model, color.target_ion, n, shift))
+    n_lo = min(n, n + shift)
+    if n_lo < 0:
+        return 0j
+    return complex(_rungs(model, color.target_ion, shift, n_lo + 1)[n_lo])
 
 
 @lru_cache(maxsize=128)
@@ -176,9 +175,8 @@ def _raising(model: SystemModel, ion: int, dn: int) -> tuple[np.ndarray, np.ndar
     flip = 1 << (model.basis.ion_count - 1 - ion)
     spins, phonon = divmod(np.arange(model.basis.dimension), n_levels)
     lower = np.flatnonzero((spins & flip == 0) & (0 <= phonon + dn) & (phonon + dn < n_levels))
-    first = max(0, -dn)
-    rungs = [_pair_coupling(model, ion, n, dn) for n in range(first, min(n_levels, n_levels - dn))]
-    maps = (lower + flip * n_levels + dn, lower, np.array(rungs, dtype=complex)[phonon[lower] - first])
+    rungs = _rungs(model, ion, dn, n_levels - abs(dn))
+    maps = (lower + flip * n_levels + dn, lower, rungs[phonon[lower] + min(dn, 0)])
     for a in maps:
         a.setflags(write=False)
     return maps

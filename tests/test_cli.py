@@ -303,6 +303,57 @@ output: {tmp_path}/lie_full
     assert not (tmp_path / "lie_full_liealg.csv").exists()
 
 
+def test_full_liealg_refused_before_building_its_generators(tmp_path, capsys):
+    """A full-basis sweep at cutoff 256 (d = 512) is refused from d and
+    max_dim alone, before any of its dense d x d generators exists."""
+    scn = write(
+        tmp_path,
+        "lie_full.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.5276681217111285, cutoff: 256}}
+colors:
+  - {{ion: 0, sideband: carrier}}
+  - {{ion: 0, sideband: blue}}
+task: {{kind: liealg, subspace: full}}
+output: {tmp_path}/lie_full
+""",
+    )
+    d = 2 * 256
+    tracemalloc.start()
+    try:
+        assert main(["run", str(scn)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "task.max_dim" in capsys.readouterr().err
+    assert list(tmp_path.glob("lie_full_*")) == []
+    assert peak < 16 * d * d
+
+
+@pytest.mark.parametrize(
+    "lamb_dicke, cutoff",
+    [
+        (20.0, 240),  # eta**239 overflows a double
+        (1.0e10, 21),  # exp(-eta^2/2) is 0 and L_20(eta^2) is inf: 0 * inf
+    ],
+)
+def test_matelem_beyond_double_precision_exits_2(tmp_path, capsys, lamb_dicke, cutoff):
+    scn = write(
+        tmp_path,
+        "m.yaml",
+        f"""
+model: {{ions: 1, lamb_dicke: {lamb_dicke}, cutoff: {cutoff}}}
+task: {{kind: matelem}}
+output: {tmp_path}/m
+""",
+    )
+    assert main(["run", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert "model.lamb_dicke" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert list(tmp_path.glob("m_*")) == []
+
+
 @pytest.mark.parametrize(
     "task, field",
     [

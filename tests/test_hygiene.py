@@ -2,9 +2,10 @@
 module imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
-non-resonant paths, the raising index maps have four readers, YAML
-is read and written only by the scenario parser and emitter, and the
-command line writes files in one place."""
+non-resonant paths, the raising index maps have four readers, the
+Laguerre recurrence is written once and couplings are taken a manifold
+at a time, YAML is read and written only by the scenario parser and
+emitter, and the command line writes files in one place."""
 
 import ast
 import importlib
@@ -156,6 +157,28 @@ def test_raising_index_maps_have_four_readers():
         "graph.build_graph",
         "dynamics._manifold_terms",
     }
+
+
+def test_laguerre_ladder_has_two_readers():
+    """`laguerre._ladder` (the one upward recurrence) is read only by
+    `laguerre` and the displacement kernel of a whole manifold."""
+    assert function_users("_ladder") == {"laguerre.laguerre", "fock._manifold"}
+
+
+def test_no_per_element_coupling_calls():
+    """`model`, `liealg` and `cli` take couplings a manifold at a time:
+    none of them calls the one-element `displacement_element` or
+    `laguerre`."""
+    calls = [
+        f"{module}.{getattr(top, 'name', '<module>')}"
+        for module in ("model", "liealg", "cli")
+        for top in parse(module).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in ("displacement_element", "laguerre")
+    ]
+    assert calls == []
 
 
 def test_yaml_is_read_and_written_by_the_scenario_pair_alone():

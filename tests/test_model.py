@@ -13,10 +13,10 @@ from ionctrl import (
     closed_subspace,
     control_raising,
     coupling_strength,
-    displacement_element,
     laguerre_zeros,
     ldl_coupling,
 )
+from coupling_reference import pair_coupling
 from ionctrl.model import PHONON_SHIFT, _generators, _raising
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
@@ -173,8 +173,8 @@ class TestBuildControl:
 
 
 def raising_reference(model, ion, dn):
-    """One manifold's raising operator, entry by entry."""
-    sideband = {0: "carrier", 1: "blue", -1: "red"}
+    """One manifold's raising operator, entry by entry, from the scalar
+    closed form."""
     basis = model.basis
     eta = model.effective_eta(ion)
     k = np.zeros((basis.dimension, basis.dimension), dtype=complex)
@@ -186,10 +186,7 @@ def raising_reference(model, ion, dn):
         spins = list(state.spins)
         spins[ion] = 1
         i = basis.index(BasisState(tuple(spins), n_to))
-        if model.ldl:
-            k[i, j] = 1j ** abs(dn) * ldl_coupling(state.phonon, sideband[dn], eta)
-        else:
-            k[i, j] = displacement_element(n_to, state.phonon, eta)
+        k[i, j] = pair_coupling(model.ldl, eta, state.phonon, dn)
     return k
 
 
