@@ -171,30 +171,38 @@ def _manifold_terms(model: SystemModel, color: FieldColor):
 
 
 def _frequency_table(model: SystemModel, colors):
-    """The colors' manifold terms as a (frequencies, support) table of
-    amp * value at the flat positions upper * d + lower they touch, one
-    row per frequency multiple m in order of first appearance; returns
-    i m omega of each row, the support and the table."""
+    """Returns i m omega of each row (multiple m, by first appearance), the
+    flat positions upper * d + lower the colors' manifold terms touch, and
+    (layers, support) rows and values: layer k holds each entry's k-th row,
+    one per ion and sideband, with the amp * value its colors add there."""
     d = model.basis.dimension
-    rows, terms = {}, []
+    rows, groups, terms = {}, {}, []
     for color in colors:
         amp = color.rabi * np.exp(1j * color.phase)
+        group = groups.setdefault((color.target_ion, color.sideband), len(groups))
         for mult, (upper, lower, value) in _manifold_terms(model, color):
-            terms.append((rows.setdefault(mult, len(rows)), upper * d + lower, amp * value))
+            terms.append((group, rows.setdefault(mult, len(rows)), upper * d + lower, amp * value))
     # (0, 0) lies on the diagonal, which no raising term reaches; kept in
-    # the support, it gives every row product two or more entries, so numpy
+    # the support, it gives every layer product two or more entries, so numpy
     # takes the fused multiply-add vector loop that the dense build took,
     # not its one-element loop, which rounds differently
     taken = np.zeros(d * d, dtype=bool)
     taken[0] = True
-    for _, flat, _ in terms:
+    for _, _, flat, _ in terms:
         taken[flat] = True
     support = np.flatnonzero(taken)
-    table = np.zeros((len(rows), len(support)), dtype=complex)
-    for row, flat, entry in terms:
-        table[row, np.searchsorted(support, flat)] += entry
+    # untouched cells hold len(rows), sort last and end as padding, row 0
+    by_group = np.full((len(groups), len(support)), len(rows))
+    values = np.zeros(by_group.shape, dtype=complex)
+    for group, row, flat, entry in terms:
+        col = np.searchsorted(support, flat)
+        by_group[group, col] = row
+        values[group, col] += entry
+    order = np.argsort(by_group, axis=0)[: np.max((by_group < len(rows)).sum(axis=0), initial=0)]
+    layer_rows = np.take_along_axis(by_group, order, 0)
+    layer_rows[layer_rows == len(rows)] = 0
     freqs = np.array([1j * mult * model.trap.mode_freq for mult in rows], dtype=complex)
-    return freqs, support, table
+    return freqs, support, layer_rows, np.take_along_axis(values, order, 0)
 
 
 # Bytes of one (steps, support) block of step amplitudes the oracle builds
@@ -211,36 +219,37 @@ def _oracle_final_state(
     """Single pass of the time-dependent integrator; returns the list of
     segment-boundary (time, state) samples.
 
-    For a block of steps, the rows of each segment's `_frequency_table`
-    weighted by e^{i m omega t_mid} are summed one frequency at a time, in
-    the table's order, over the whole support: each entry then goes through
-    the same products and sums as in a build of one dense matrix per
-    frequency, and every Hamiltonian comes out bit for bit the same.  Each
-    step's row is scattered into the raising half h of its Hamiltonian
-    h + h_dag, which is factored by one dense eigensolve.  No dense matrix
-    outlives its step.
+    For a block of S steps, each entry of a segment's `_frequency_table`
+    adds its layers in order, e^{i m omega t_mid} of the row times the
+    value: the products and sums of one dense matrix per frequency, so
+    every Hamiltonian comes out bit for bit the same.  They fill the
+    raising halves h of an (S, d, d) stack h + h_dag, factored by one
+    stacked eigensolve.  Past the layers' build, peak memory is the layers
+    (24 bytes per layer and support entry), the (S, support) block and its
+    product temporary, and three (S, d, d) complex stacks: h, its conjugate
+    and numpy's buffer for the transposed add, or h and its eigenvectors.
     """
     d = model.basis.dimension
     psi = np.asarray(psi0, dtype=complex)
     t0 = 0.0
     samples = [(0.0, psi)]
     for seg in schedule.segments:
-        freqs, support, table = _frequency_table(model, seg.colors)
+        freqs, support, layer_rows, layer_values = _frequency_table(model, seg.colors)
         n_steps = max(1, math.ceil(seg.duration / dt))
         h_step = seg.duration / n_steps
         block = max(1, _STEP_BLOCK_BYTES // (16 * len(support)))
         for start in range(0, n_steps, block):
             t_mid = t0 + (np.arange(start, min(start + block, n_steps)) + 0.5) * h_step
+            phase = np.exp(np.multiply.outer(freqs, t_mid)).T
             acc = np.zeros((len(t_mid), len(support)), dtype=complex)
-            for phase, row in zip(np.exp(np.multiply.outer(freqs, t_mid)), table):
+            for rows_k, values_k in zip(layer_rows, layer_values):
                 # phase first, as in the dense build: numpy's vector complex
                 # product is not symmetric in its last bit
-                acc += phase[:, None] * row
-            for step_h in acc:
-                h = np.zeros((d, d), dtype=complex)
-                h.reshape(-1)[support] = step_h
-                h += h.conj().T
-                psi = _evolve(h, psi, [h_step])[0]
+                acc += phase[:, rows_k] * values_k
+            h = np.zeros((len(t_mid), d, d), dtype=complex)
+            h.reshape(len(t_mid), -1)[:, support] = acc
+            h += h.conj().swapaxes(1, 2)
+            psi = _evolve(h, psi, [h_step])[0]
         t0 += seg.duration
         samples.append((t0, psi))
     return samples
@@ -260,6 +269,8 @@ def propagate_timedep_oracle(
     check_convergence the integration is repeated at dt/2 and the finer
     result returned; a final-state shift above 1e-6 is an error.
     """
+    if np.shape(psi0) != (model.basis.dimension,):
+        raise ValueError(f"psi0 must have dimension {model.basis.dimension}")
     psi = _check_normalized(psi0, "psi0")
     if isinstance(dt, (bool, np.bool_)) or not (0 < dt and dt * model.trap.mode_freq < 0.05):
         raise ValueError("dt must satisfy dt * mode_freq < 0.05")

@@ -101,9 +101,14 @@ def _evolve(h: np.ndarray, psi: np.ndarray, times) -> np.ndarray:
 
     psi is a state (d,) or a matrix (d, k); the results are stacked along
     a new leading axis, one per time.  The identity as psi gives the
-    matrix exponential itself.
+    matrix exponential itself.  A stack h (S, d, d), one time t and a state
+    psi give exp(-i h[S-1] t) ... exp(-i h[0] t) psi (1, d), one eigensolve.
     """
     w, v = np.linalg.eigh(h)
+    if h.ndim == 3:
+        for phases, v_s in zip(np.exp(-1j * np.multiply.outer(times, w))[0], v):
+            psi = (phases * (v_s.conj().T @ psi)) @ v_s.T
+        return psi[None]
     coeff = v.conj().T @ psi
     phases = np.exp(-1j * np.outer(times, w))
     if coeff.ndim == 1:
@@ -154,9 +159,13 @@ def _manifold(dn: int, eta: float, count: int) -> np.ndarray:
 
 
 def displacement_element(n_to: int, n_from: int, eta: float) -> complex:
-    """Single matrix element <n_to| exp(i eta (a + a_dag)) |n_from>."""
+    """Single matrix element <n_to| exp(i eta (a + a_dag)) |n_from>, or OverflowError."""
     if n_to < 0 or n_from < 0:
         raise ValueError("phonon numbers must be nonnegative")
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
-    return complex(_manifold(abs(n_to - n_from), eta, min(n_to, n_from) + 1)[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(_manifold(abs(n_to - n_from), eta, min(n_to, n_from) + 1)[-1])
+    if not np.isfinite(value):
+        raise OverflowError(f"<{n_to}|D|{n_from}> at eta={eta} overflows double precision")
+    return value

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -106,6 +108,15 @@ class TestDisplacementElement:
         for n in range(11):
             drop = 1.0 - abs(displacement_element(n, n, eta))
             assert 0.0 <= drop < (n + 1.0) * eta**2
+
+    @pytest.mark.parametrize("n_to, n_from", [(2000, 1000), (1000, 2000)])
+    def test_overflowing_recurrence_raises_naming_the_element(self, n_to, n_from):
+        # L_1000^1000(0.25) overflows in the recurrence, though the element
+        # itself underflows; no NaN comes back and no warning is printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=rf"<{n_to}\|D\|{n_from}> at eta=0.5"):
+                displacement_element(n_to, n_from, 0.5)
 
 
 class TestEvolve:
