@@ -59,70 +59,123 @@ def _real_coordinates(d: int):
     """(pack, unpack) for r(X) = [sqrt2*Re X_jk, sqrt2*Im X_jk for j<k, Im X_jj].
 
     For skew-Hermitian X and Y, r(X) . r(Y) = Re tr(X^H Y).  `pack` maps
-    a stack of d x d matrices to the (n, d^2) coordinates of their
-    skew-Hermitian parts; `unpack(v, out)` writes the skew-Hermitian
-    matrix with coordinates v into the d x d array `out`.
+    a stack of d x d matrices (or of their d^2 entries) to the (n, d^2)
+    coordinates of their skew-Hermitian parts; `unpack(v, out)` writes the
+    skew-Hermitian matrices with coordinates v (a row or a stack) to `out`.
     """
     rows, cols = np.triu_indices(d, 1)
     upper, lower = rows * d + cols, cols * d + rows
     diag = np.arange(d) * (d + 1)
     n_off = upper.size
     half = np.sqrt(0.5)
-    # r of the skew part, read off the interleaved (re, im) float view f
-    # of X as f[a] * wa + f[b] * wb
+    # r of the skew part, read off the interleaved (re, im) float view f of
+    # X as f[a] * wa + f[b] * wb; f[a] = r * ua and f[b] = r * ub write it back
     a = np.concatenate([2 * upper, 2 * upper + 1, 2 * diag + 1])
     b = np.concatenate([2 * lower, 2 * lower + 1, 2 * diag + 1])
     wa = np.concatenate([np.full(2 * n_off, half), np.full(d, 0.5)])
     wb = np.concatenate([np.full(n_off, -half), np.full(n_off, half), np.full(d, 0.5)])
+    ua, ub = (np.concatenate([w[: 2 * n_off], np.ones(d)]) for w in (wa, wb))
 
     def pack(mats: np.ndarray) -> np.ndarray:
-        f = mats.reshape(-1, d * d).view(float)
+        f = mats.reshape(len(mats), d * d).view(float)
         return f[:, a] * wa + f[:, b] * wb
 
     def unpack(v: np.ndarray, out: np.ndarray) -> None:
-        off = (v[:n_off] + 1j * v[n_off : 2 * n_off]) * half
-        x = out.reshape(d * d)
-        x[upper] = off
-        x[lower] = -off.conj()
-        x[diag] = 1j * v[2 * n_off :]
+        f = out.reshape(*out.shape[:-2], d * d).view(float)
+        f[..., 2 * diag] = 0.0
+        f[..., a] = v * ua
+        f[..., b] = v * ub
 
     return pack, unpack
 
 
-def _sweep_bytes(cap: int, d: int) -> int:
-    """Peak bytes of a sweep over cap elements of dimension d.
+def _grading(mats: list) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
+    """Sectors (sorted state indices) of a parity that grades the generators,
+    and each generator's grade: odd where its diagonal is exactly zero, else
+    even.  The states are 2-coloured so that off-diagonal entries of odd
+    generators join the sectors and those of even ones stay inside one;
+    without such a colouring, one sector and every generator even."""
+    d = len(mats[0])
+    grades = [int(not m.diagonal().any()) for m in mats]
+    links = np.zeros((2, d, d), dtype=bool)  # [g]: joined by a grade-g generator
+    for m, g in zip(mats, grades):
+        links[g] |= m != 0
+    colour = np.full(d, -1)
+    for start in range(d):
+        if colour[start] < 0:
+            colour[start], stack = 0, [start]
+            while stack:
+                j = stack.pop()
+                new = np.flatnonzero((links[0, j] | links[1, j]) & (colour < 0))
+                colour[new] = colour[j] ^ links[1, j, new]
+                stack.extend(new)
+    apart = colour[:, None] != colour
+    if (links[0] & apart).any() or (links[1] & ~apart).any():
+        return (np.arange(d), np.arange(0)), [0] * len(mats)
+    return (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), grades
 
-    The real and the complex basis buffers take 24 * cap * d^2.  On top
-    of them comes the larger of the last element's commutator batch
-    (i = cap - 1: the complex (i*d, d) product and the three real
-    (i, d^2) temporaries `pack` holds at once, together 40 * i * d^2;
-    inserting holds the batch and at most three more (i, d^2) arrays;
-    each element's arrays are released before the next) and the basis
-    copy returned by a sweep that stops below cap (16 * cap * d^2).
 
-    The complement phase fits under the batch term.  It starts once
-    c > 8n/9 of the n = d^2 directions are found, c <= cap - 1, so
-    n < 9 (cap - 1) / 8 and r = n - c < n/9.  Its QR holds two real
-    (n, c) and two (n, n) arrays (the copy it factors, R, and Q's LAPACK
-    buffer and result), 8n(2c + 2n) < 34 (cap - 1) d^2 bytes.  Then each
-    element holds the complex complement and its product with X_i, two
-    real arrays of at most r * d^2 entries and r survivors at a time:
-    88 r d^2 < 11 (cap - 1) d^2.
+def _grade_coordinates(a: int, b: int):
+    """(pack, unpack) per grade for elements held as blocks (p, q) on
+    sectors of a and b states, even diag(p, q) and odd [[0, p], [q, 0]]
+    with q = -p^H: `pack[g](u, v)` maps (m, entries) blocks to the real
+    coordinates of the skew parts, r(p) and r(q) for even and sqrt2 * (Re
+    p, Im p) for odd; `unpack[g](v, p, q)` writes the blocks back."""
+    pack_a, unpack_a = _real_coordinates(a)
+    pack_b, unpack_b = (pack_a, unpack_a) if b == a else _real_coordinates(b)
+    half = np.sqrt(0.5)
+
+    def pack_even(u, v):
+        return np.concatenate((pack_a(u), pack_b(v)), axis=1)
+
+    def unpack_even(v, p, q):
+        unpack_a(v[..., : a * a], p)
+        unpack_b(v[..., a * a :], q)
+
+    def pack_odd(u, v):
+        m = len(u)
+        w = u.reshape(m, a, b) - v.reshape(m, b, a).conj().transpose(0, 2, 1)
+        return w.reshape(m, a * b).view(float) * half
+
+    def unpack_odd(v, p, q):
+        p[...] = (v * half).view(complex).reshape(p.shape)
+        q[...] = -p.conj().swapaxes(-1, -2)
+
+    return (pack_even, pack_odd), (unpack_even, unpack_odd)
+
+
+def _sweep_bytes(cap: int, a: int, b: int = 0) -> int:
+    """Peak bytes of a sweep over cap elements on sectors of a and b states;
+    b = 0, one sector of d = a states, bounds every split of d.
+
+    Grade g holds min(cap, n_g) elements of n_g = (a^2 + b^2, 2ab)[g] real
+    coordinates, with their complex blocks 24 * S bytes, S = sum_g min(cap,
+    n_g) n_g.  On top comes the larger of the dense basis returned (16 *
+    cap * d^2) and one commutator batch, an element against the m <=
+    min(cap - 1, max_g min(cap, n_g)) of one grade before it onto n <= max
+    n_g coordinates: products and three real (m, n) temporaries, 40 m n.
+    A grade's complement phase, from c > 8n/9 found, fits under it: its QR
+    takes 8n(2c + 2n) < 34 c n, then r = n - c < n/9 rows at a time 88 r n.
     """
-    return d * d * (24 * cap + max(40 * (cap - 1), 16 * cap))
+    n = (a * a + b * b, 2 * a * b)
+    caps = [min(cap, k) for k in n]
+    store = sum(c * k for c, k in zip(caps, n))
+    batch = 40 * min(cap - 1, max(caps)) * max(n)
+    return 24 * store + max(batch, 16 * cap * (a + b) ** 2)
 
 
-def _sweep_cap(d: int, max_dim) -> int:
-    """The number of elements a sweep of dimension d may find,
-    min(max_dim, d^2); raises ValueError for a max_dim that is not a
-    positive integer, and SweepTooLargeError where _sweep_bytes exceeds
-    the limit, so a caller can refuse before it builds any operator."""
+def _sweep_cap(a: int, max_dim, b: int = 0) -> int:
+    """The number of elements a sweep on sectors of a and b states (d = a + b)
+    may find, min(max_dim, d^2); raises ValueError for a max_dim that is
+    not a positive integer, and SweepTooLargeError where _sweep_bytes
+    exceeds the limit, so a caller can refuse before it builds any operator."""
     if max_dim is not None and (
         isinstance(max_dim, (bool, np.bool_)) or not 1 <= max_dim < np.inf or max_dim != int(max_dim)
     ):
         raise ValueError(f"max_dim must be a positive integer, got {max_dim!r}")
+    d = a + b
     cap = d * d if max_dim is None else min(int(max_dim), d * d)
-    needed = _sweep_bytes(cap, d)
+    needed = _sweep_bytes(cap, a, b)
     if needed > _MAX_SWEEP_BYTES:
         raise SweepTooLargeError(
             f"a sweep over {cap} elements of dimension {d} needs about "
@@ -130,6 +183,16 @@ def _sweep_cap(d: int, max_dim) -> int:
             f"{_MAX_SWEEP_BYTES / 2**20:.0f} MiB limit; set max_dim to bound it"
         )
     return cap
+
+
+def _times(p: np.ndarray, q: np.ndarray, g: int, x: np.ndarray, y: np.ndarray):
+    """(m, entries) blocks of the products of grade-g (p, q) by (x, y)."""
+    if g:
+        x, y = y, x
+    m = len(p)
+    u = p.reshape(m * p.shape[1], p.shape[2]) @ x
+    v = q.reshape(m * q.shape[1], q.shape[2]) @ y
+    return u.reshape(m, -1), v.reshape(m, -1)
 
 
 def dynamical_lie_algebra(
@@ -143,43 +206,40 @@ def dynamical_lie_algebra(
     Gram-Schmidt under the trace inner product with a re-orthogonalization
     pass per insertion; commutator sweeps pair each newly found element
     with everything found so far and stop when a full sweep adds nothing
-    (saturated) or the dimension reaches max_dim.  Reaching d^2, the
-    dimension of all skew-Hermitian matrices, is genuine saturation (no
-    further direction exists); stopping at a smaller cap is reported as
-    unsaturated growth.
+    (saturated) or the dimension reaches max_dim.  Reaching d^2, all
+    skew-Hermitian matrices, is genuine saturation; stopping at a smaller
+    cap is reported as unsaturated growth.
 
-    Projections run on d^2 real coordinates per element,
-    r(X) = [sqrt2*Re X_jk, sqrt2*Im X_jk for j<k, Im X_jj], which carry
-    the trace inner product Re tr(X^H Y) as a dot product, so `tol`
-    bounds the same Frobenius norm; the complex matrices are kept only
-    to form commutators and to return the basis.  An element's
-    commutators are projected against the basis as one block; those
-    whose residual exceeds `tol` are projected once more, then
-    orthogonalized one by one against the rows that block has already
-    inserted.
-
-    Once the basis holds more than 8/9 of all d^2 directions, one QR
-    gives orthonormal rows C_r spanning its complement, and element i
-    finds the residuals of all its commutators [X_j, X_i] with two
-    products: Re tr(C_r^H [X_j, X_i]) = -2 Re tr((C_r X_i)^H X_j), less
-    the directions inserted since the QR.  Only the commutators whose
-    residual exceeds `tol` are then formed, r at a time.  Each generation's
-    dimension, dim(S + [S, S]) of the previous span S, does not depend on
-    the basis, so the history is the same as with the plain residual filter.
-
-    For cap = min(max_dim, d^2) elements the sweep, complement phase
-    included, peaks at about d^2 * (24 * cap + max(40 * (cap - 1), 16 *
-    cap)) bytes; a sweep that would need more than 1 GiB raises
-    SweepTooLargeError (a ValueError) before allocating; max_dim bounds it.
+    The sweep is graded by a parity it infers from the generators
+    (`_grading`; the spin parity for a diagonal drift and controls that
+    each flip one spin, one sector where none exists): each grade keeps its
+    elements as two complex blocks and as real coordinates carrying
+    Re tr(X^H Y), so `tol` bounds the Frobenius norm.  Commutators are
+    block products, projected as one block against their own grade alone,
+    those above `tol` once more, then one by one against the rows the block
+    inserted.  Once a grade holds over 8/9 of its directions, one QR spans
+    its complement by rows C_r, and the residuals of element i's
+    commutators in it take two block products, Re tr(C_r^H [X_j, X_i]) =
+    -2 Re tr((C_r X_i)^H X_j), less the directions inserted since.  Each
+    generation's dimension, dim(S + [S, S]), depends on neither basis nor
+    grading, so the history is the ungraded sweep's.  `basis` is dense,
+    (dimension, d, d) in the caller's state order, even elements first.
+    The peak stays within `_sweep_bytes(cap, a, b)` for cap = min(max_dim,
+    d^2) on sectors of a and b states, 24 S + max(40 m max_g n_g, 16 cap d^2)
+    bytes for grades of n_g = a^2 + b^2 and 2ab coordinates (S, m there):
+    d^2 * (24 * cap + max(40 * (cap - 1), 16 * cap)) for one sector, about
+    half for two equal ones.  Above 1 GiB it raises SweepTooLargeError (a
+    ValueError) once the grading is inferred, before it allocates.
     """
     mats = [_check_hermitian(drift, "drift")]
     mats += [_check_hermitian(c, f"control {i}") for i, c in enumerate(controls)]
     d = mats[0].shape[0]
     if any(m.shape[0] != d for m in mats):
         raise ValueError("drift and controls must share one dimension")
-    full = d * d
-    cap = _sweep_cap(d, max_dim)
-    seeds = np.array([1j * m for m in mats])
+    sectors, grades = _grading(mats)
+    a, b = len(sectors[0]), len(sectors[1])
+    cap = _sweep_cap(a, max_dim, b)
+    seeds = [1j * m for m in mats]
     scale = max(np.linalg.norm(s) for s in seeds)
     if scale == 0.0:
         raise ValueError("all generators are zero")
@@ -188,81 +248,100 @@ def dynamical_lie_algebra(
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
 
-    pack, unpack = _real_coordinates(d)
-    coords = np.zeros((cap, full))
-    stacked = np.zeros((cap, d, d), dtype=complex)
-    flat = stacked.reshape(cap, -1).view(float)  # carries Re tr(X^H Y) as a dot product
-    count = 0
+    pack, unpack = _grade_coordinates(a, b)
+    n = (a * a + b * b, 2 * a * b)  # real coordinates of each grade
+    caps = [min(cap, k) for k in n]
+    shapes = (((a, a), (b, b)), ((a, b), (b, a)))
+    coords = [np.zeros((c, k)) for c, k in zip(caps, n)]
+    ps = [np.zeros((c, *s[0]), dtype=complex) for c, s in zip(caps, shapes)]
+    qs = [np.zeros((c, *s[1]), dtype=complex) for c, s in zip(caps, shapes)]
+    counts = [0, 0]  # elements found of each grade
+    # the rows and columns of each grade's blocks p and q
+    places = [((sectors[0], sectors[g]), (sectors[1], sectors[1 - g])) for g in (0, 1)]
+    grade_of = np.zeros(cap, dtype=np.int8)  # of each element, in insertion order
 
-    def insert(block: np.ndarray) -> None:
-        nonlocal count
-        start = count
-        block = block - (block @ coords[:start].T) @ coords[:start]
+    def insert(g: int, block: np.ndarray) -> None:
+        e, start, count = coords[g], counts[g], sum(counts)
+        block = block - (block @ e[:start].T) @ e[:start]
         block = block[np.linalg.norm(block, axis=1) > tol]
-        block = block - (block @ coords[:start].T) @ coords[:start]
+        block = block - (block @ e[:start].T) @ e[:start]
+        k = start
         for v in block:
-            if count >= cap:
+            if count + k - start >= cap or k >= caps[g]:
                 break
             for _ in range(2):
-                v = v - (coords[start:count] @ v) @ coords[start:count]
+                v = v - (e[start:k] @ v) @ e[start:k]
             norm = np.linalg.norm(v)
             if norm > tol:
-                coords[count] = v / norm
-                unpack(coords[count], stacked[count])
-                count += 1
+                e[k] = v / norm
+                k += 1
+        if k > start:
+            unpack[g](e[start:k], ps[g][start:k], qs[g][start:k])
+            grade_of[count : count + k - start], counts[g] = g, k
 
     # pack keeps only the skew-Hermitian part, so roundoff in the
     # generators never leaks a Hermitian part into the basis
-    insert(pack(seeds))
-    history = [(0, count, count)]
+    for seed, g in zip(seeds, grades):
+        insert(g, pack[g](*(seed[np.ix_(*at)].reshape(1, -1) for at in places[g])))
+    history = [(0, sum(counts), sum(counts))]
 
-    generations = 0
-    saturated = count >= full
-    gen_start = 0
-    comp = None
-    while count < cap:
-        generations += 1
-        prev_count = count
+    gen_start, comp = 0, [None, None]
+    while sum(counts) < cap:
+        prev_count = sum(counts)
+        # the grade-h elements among the first i are the first m[h] of grade h
+        odd_before = np.cumsum(grade_of[:prev_count]) - grade_of[:prev_count]
         for i in range(max(gen_start, 1), prev_count):
-            if count >= cap:
+            if sum(counts) >= cap:
                 break
-            if comp is None and 8 * (full - count) < count:
-                # from here on, test commutators against orthonormal rows
-                # spanning the basis's complement, which is the smaller
-                qr_count, r = count, full - count
-                q = np.linalg.qr(coords[:count].T, mode="complete")[0]
-                comp = np.zeros((r, d, d), dtype=complex)
-                for c, m in zip(q[:, count:].T, comp):
-                    unpack(c, m)
-                del q
-            if comp is None:
-                # elements are exactly skew-Hermitian, so x P = (P x)^H and the
-                # commutator P x - x P is twice the skew part of P x
-                insert(2 * pack(stacked[:i].reshape(i * d, d) @ stacked[i]))
-            else:
+            gi = int(grade_of[i])
+            m = (i - int(odd_before[i]), int(odd_before[i]))
+            x, y = ps[gi][m[gi]], qs[gi][m[gi]]
+            for h in (0, 1):
+                r = h ^ gi  # the grade of [X_j, X_i] for X_j of grade h
+                if m[h] == 0 or counts[r] >= caps[r]:
+                    continue
+                if comp[r] is None and 8 * (n[r] - counts[r]) < counts[r]:
+                    # from here on, test against rows spanning the grade's smaller complement
+                    q = np.linalg.qr(coords[r][: counts[r]].T, mode="complete")[0]
+                    q = q[:, counts[r] :].T.copy()
+                    cp, cq = (np.zeros((len(q), *s), dtype=complex) for s in shapes[r])
+                    unpack[r](q, cp, cq)
+                    comp[r] = (q, cp, cq, counts[r])
+                if comp[r] is None:
+                    # elements are exactly skew-Hermitian, so x P = (P x)^H and the
+                    # commutator P x - x P is twice the skew part of P x
+                    insert(r, 2 * pack[r](*_times(ps[h][: m[h]], qs[h][: m[h]], h, x, y)))
+                    continue
                 # Re tr(C^H [X_j, X_i]) = -2 Re tr((C X_i)^H X_j) for skew-Hermitian
                 # C and X; then drop the parts along rows inserted since the QR
-                prod = (comp.reshape(-1, d) @ stacked[i]).reshape(r, -1).view(float)
-                parts = -2 * prod @ flat[:i].T
-                since = flat[qr_count:count] @ comp.reshape(r, -1).view(float).T
+                q, cp, cq, qr_count = comp[r]
+                cu, cv = _times(cp, cq, r, x, y)
+                pj, qj = (z[: m[h]].reshape(m[h], -1).view(float) for z in (ps[h], qs[h]))
+                parts = -2 * (cu.view(float) @ pj.T + cv.view(float) @ qj.T)
+                since = coords[r][qr_count : counts[r]] @ q.T
                 parts -= since.T @ (since @ parts)
                 rows = np.flatnonzero(np.linalg.norm(parts, axis=0) > tol)
-                for j in range(0, len(rows), r):
-                    insert(2 * pack(stacked[rows[j : j + r]].reshape(-1, d) @ stacked[i]))
-        added = count - prev_count
-        history.append((generations, added, count))
-        if added == 0:
-            saturated = True
+                for j in range(0, len(rows), len(q)):
+                    js = rows[j : j + len(q)]
+                    insert(r, 2 * pack[r](*_times(ps[h][js], qs[h][js], h, x, y)))
+        history.append((len(history), sum(counts) - prev_count, sum(counts)))
+        if history[-1][1] == 0:
             break
         gen_start = prev_count
-    if count >= cap:
-        saturated = saturated or (count >= full)
-
+    count = sum(counts)
+    # release the coordinates and complements before the dense basis is built
+    coords.clear()
+    comp.clear()
+    basis, lo = np.zeros((count, d, d), dtype=complex), 0
+    for g, k in enumerate(counts):  # the even elements first, then the odd
+        for x, (rows, cols) in zip((ps[g], qs[g]), places[g]):
+            basis[lo : lo + k, rows[:, None], cols] = x[:k]
+        lo += k
     return LieAlgebraResult(
-        basis=stacked if count == cap else stacked[:count].copy(),
+        basis=basis,
         dimension=count,
-        saturated=bool(saturated),
-        generations=generations,
+        saturated=(history[-1][0] > 0 and history[-1][1] == 0) or count >= d * d,
+        generations=history[-1][0],
         history=tuple(history),
     )
 

@@ -109,6 +109,15 @@ class TestDisplacementElement:
             drop = 1.0 - abs(displacement_element(n, n, eta))
             assert 0.0 <= drop < (n + 1.0) * eta**2
 
+    @pytest.mark.parametrize("dn", [101, 102, 103])
+    def test_phase_is_exact_past_delta_100(self, dn):
+        # i^dn: 1j**dn leaves a spurious component of relative size 1e-14
+        # from dn = 101 on
+        for n_to, n_from in ((dn, 0), (0, dn)):
+            elem = displacement_element(n_to, n_from, np.sqrt(ROOT_BLUE))
+            assert elem != 0.0
+            assert (elem.imag if dn % 2 == 0 else elem.real) == 0.0
+
     @pytest.mark.parametrize("n_to, n_from", [(2000, 1000), (1000, 2000)])
     def test_overflowing_recurrence_raises_naming_the_element(self, n_to, n_from):
         # L_1000^1000(0.25) overflows in the recurrence, though the element

@@ -18,7 +18,7 @@ from ionctrl import (
     dynamical_lie_algebra,
     laguerre_zeros,
 )
-from ionctrl.liealg import _real_coordinates, _sweep_bytes
+from ionctrl.liealg import _grading, _real_coordinates, _sweep_bytes
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -49,6 +49,16 @@ def ldl_ladder(cutoff):
     )
     colors = [FieldColor(0, "carrier"), FieldColor(0, "blue")]
     return model, build_drift(model), [build_control(model, c) for c in colors]
+
+
+def odd_ring(d):
+    """A diagonal drift and one control around a ring of d states: for odd
+    d no parity grading exists, so the sweep runs on one sector."""
+    drift = np.diag(np.arange(d, dtype=float)).astype(complex)
+    control = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        control[j, (j + 1) % d] = control[(j + 1) % d, j] = 1.0 + 0.1 * j
+    return drift, [control]
 
 
 # per-generation (generation, new_directions, cumulative) rows of the sweep
@@ -189,8 +199,9 @@ class TestDynamicalLieAlgebra:
             (lambda: ldl_ladder(8)[1:], None),
             (lambda: ldl_ladder(10)[1:], None),
             (lambda: ldl_ladder(10)[1:], 390),
+            (lambda: odd_ring(11), None),
         ],
-        ids=["closed_14", "closed_14_max_dim_50", "ldl_8", "ldl_10", "ldl_10_max_dim_390"],
+        ids=["closed_14", "closed_14_max_dim_50", "ldl_8", "ldl_10", "ldl_10_max_dim_390", "ungraded_11"],
     )
     def test_peak_memory_within_estimate(self, system, max_dim):
         drift, controls = system()
@@ -202,7 +213,10 @@ class TestDynamicalLieAlgebra:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= _sweep_bytes(d * d if max_dim is None else max_dim, d)
+        # the model of the sectors the sweep infers
+        sectors, _ = _grading([drift, *controls])
+        model = _sweep_bytes(d * d if max_dim is None else max_dim, *map(len, sectors))
+        assert model / 2 <= peak <= model
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

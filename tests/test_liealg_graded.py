@@ -1,0 +1,124 @@
+"""The graded Lie sweep: the parity grading it infers from the generators,
+and its results on graded generator sets against the all-pairs reference.
+
+Each drawn set is homogeneous under a random 0/1 labelling of the states:
+a diagonal drift, odd controls coupling only states of different labels,
+and even controls coupling only states of one label.  The sweep must
+report the reference's history, dimension and saturation, and every
+element it returns must be even or odd under the parity it inferred.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ionctrl import (
+    FieldColor,
+    IonConfig,
+    SystemModel,
+    TrapConfig,
+    TruncatedBasis,
+    build_control,
+    build_drift,
+    closed_subspace,
+    dynamical_lie_algebra,
+)
+from ionctrl.liealg import _grading
+from test_liealg import ROOT_BLUE, SX, SZ, ldl_ladder, odd_ring, truncated_subsystem
+from test_liealg_properties import ENTRIES, reference_sweep
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@st.composite
+def graded_sets(draw):
+    d = draw(st.sampled_from([2, 3, 4, 5, 6, 6]))
+    label = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
+    diag = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=d, max_size=d))
+    mats = [np.diag(diag).astype(complex)]
+    for odd in [True] * draw(st.integers(1, 3)) + [False] * draw(st.integers(0, 2)):
+        pairs = [(j, k) for j in range(d) for k in range(d) if (label[j] != label[k]) == odd]
+        if not pairs:
+            continue
+        h = np.zeros((d, d), dtype=complex)
+        entries = st.tuples(st.sampled_from(pairs), st.sampled_from(ENTRIES))
+        for (j, k), v in draw(st.lists(entries, min_size=1, max_size=2 * d)):
+            h[j, k] += v
+            h[k, j] += np.conj(v)
+        mats.append(h)
+    cap = draw(st.sampled_from([None, None, 1, 8 * d * d // 9]))
+    cap = cap and draw(st.integers(cap, d * d))
+    return mats, cap
+
+
+def parity(sectors):
+    p = np.ones(sum(map(len, sectors)))
+    p[sectors[1]] = -1.0
+    return p
+
+
+@SETTINGS
+@given(graded_sets())
+def test_graded_sweep_matches_all_pairs_reference(case):
+    mats, cap = case
+    scale = max(np.linalg.norm(m) for m in mats)
+    if scale == 0.0:
+        return
+    result = dynamical_lie_algebra(mats[0], mats[1:], max_dim=cap)
+    history, dimension, saturated = reference_sweep(mats, 1e-8 * scale, cap)
+    assert result.history == history
+    assert result.dimension == dimension
+    assert result.saturated is saturated
+    # every element is even or odd under the inferred parity P: P X P = +-X
+    p = parity(_grading(mats)[0])
+    for x in result.basis:
+        pxp = p[:, None] * x * p
+        assert np.array_equal(pxp, x) or np.array_equal(pxp, -x)
+
+
+def test_closed_14_splits_seven_and_seven():
+    drift, controls, _ = truncated_subsystem()
+    mats = [drift, *controls]
+    sectors, grades = _grading(mats)
+    assert list(map(len, sectors)) == [7, 7]
+    assert grades == [0, 1, 1]
+    p = parity(sectors)
+    for m, g in zip(mats, grades):
+        np.testing.assert_array_equal(p[:, None] * m * p, (-1) ** g * m)
+
+
+def test_ldl_cutoff_10_splits_ten_and_ten():
+    _, drift, controls = ldl_ladder(10)
+    sectors, _ = _grading([drift, *controls])
+    assert list(map(len, sectors)) == [10, 10]
+
+
+def test_two_ion_28_splits_fourteen_and_fourteen():
+    model = SystemModel(
+        trap=TrapConfig(1.0, np.sqrt(ROOT_BLUE), (1.0, 1.0)),
+        ions=(IonConfig(), IonConfig()),
+        basis=TruncatedBasis(2, 16),
+    )
+    colors = [FieldColor(0, "blue"), FieldColor(1, "blue"), FieldColor(0, "carrier")]
+    idx = np.array(closed_subspace(model, colors))
+    mats = [build_drift(model)[np.ix_(idx, idx)]]
+    mats += [build_control(model, c)[np.ix_(idx, idx)] for c in colors]
+    sectors, grades = _grading(mats)
+    assert len(idx) == 28
+    assert list(map(len, sectors)) == [14, 14]
+    assert grades == [0, 1, 1, 1]
+
+
+def test_parity_conflict_gives_one_sector():
+    # SX is odd and joins states 0 and 1; SZ + SX has a diagonal, so it is
+    # even and keeps them in one sector.  A ring of 5 states has no 2-colouring
+    ring, (around,) = odd_ring(5)
+    for mats in ([SZ, SX, SZ + SX], [ring, around]):
+        sectors, grades = _grading(mats)
+        d = len(mats[0])
+        np.testing.assert_array_equal(sectors[0], np.arange(d))
+        assert sectors[1].size == 0
+        assert grades == [0] * len(mats)
+    result = dynamical_lie_algebra(SZ, [SX, SZ + SX])
+    assert result.dimension == 3
+    assert result.saturated
