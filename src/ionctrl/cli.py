@@ -142,15 +142,17 @@ def run_graph(scenario: Scenario) -> list[tuple]:
 def run_liealg(scenario: Scenario) -> list[tuple]:
     p = scenario.task_params
     sub = _subspace(scenario)
-    try:  # refused before any operator is built
-        _sweep_cap(len(sub), p.get("max_dim"))
-    except SweepTooLargeError as exc:
+    # the odd spin-parity states of the subspace, the sectors the sweep grades by
+    odd = sum(bin(i // scenario.model.basis.fock_cutoff).count("1") % 2 for i in sub)
+    try:
+        _sweep_cap(len(sub) - odd, p.get("max_dim"), odd)  # before any operator is built
+        # built on the subspace's indices alone: a closed sweep holds no d x d operator
+        *controls, drift = _generators(scenario.model, scenario.colors, sub)
+        for k in controls:
+            k += k.conj().T  # the raising half plus its adjoint
+        result = dynamical_lie_algebra(drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim"))
+    except SweepTooLargeError as exc:  # also where the sweep infers other sectors
         raise ScenarioError(f"task.max_dim: {exc}") from exc
-    # built on the subspace's indices alone: a closed sweep holds no d x d operator
-    *controls, drift = _generators(scenario.model, scenario.colors, sub)
-    for k in controls:
-        k += k.conj().T  # the raising half plus its adjoint
-    result = dynamical_lie_algebra(drift, controls, tol=p.get("tol"), max_dim=p.get("max_dim"))
     verdict = controllability_verdict(result, len(sub))
     extras = {
         "subspace": p["subspace"],

@@ -371,6 +371,8 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
 
     state = target.copy()
     forward: list[Segment] = []
+    # each pulse has one color at unit Rabi, so its sideband fixes the blocks
+    blocks = {sb: _parity_blocks(model, [FieldColor(0, sb)]) for sb in ("carrier", "red")}
 
     def apply_backward(sideband: str, pair_from: int, pair_to: int, zero: str) -> None:
         if abs(state[pair_to if zero == "to" else pair_from]) < 1e-12:
@@ -387,8 +389,9 @@ def law_eberly_sequence(model: SystemModel, target: np.ndarray) -> PulseSchedule
             return
         phase = float((psi - np.angle(kappa)) % (2 * np.pi))
         duration = theta / abs(kappa)
-        seg = Segment((FieldColor(0, sideband, phase=phase),), duration)
-        state[:] = propagate(model, PulseSchedule((seg,)), state).final
+        # one state through one segment of one unit-Rabi color, as `propagate` would
+        amp = np.full((1, 1, 1), np.exp(1j * phase))
+        state[:] = _parity_propagate(*blocks[sideband], amp, np.array([[duration]]), state)[0, -1]
         inverted = FieldColor(0, sideband, phase=float((phase + np.pi) % (2 * np.pi)))
         forward.append(Segment((inverted,), duration))
 

@@ -151,16 +151,18 @@ def _sweep_bytes(cap: int, a: int, b: int = 0) -> int:
     Grade g holds min(cap, n_g) elements of n_g = (a^2 + b^2, 2ab)[g] real
     coordinates, with their complex blocks 24 * S bytes, S = sum_g min(cap,
     n_g) n_g.  On top comes the larger of the dense basis returned (16 *
-    cap * d^2) and one commutator batch, an element against the m <=
-    min(cap - 1, max_g min(cap, n_g)) of one grade before it onto n <= max
-    n_g coordinates: products and three real (m, n) temporaries, 40 m n.
+    cap * d^2) and the commutators in flight onto n <= max n_g coordinates,
+    m <= min(cap - 1, max_g min(cap, n_g)) per element: a batch's products
+    and three real (m, n) temporaries, 40 m n, beside < n/4 buffered rows,
+    or a flush of < n/4 + m rows, their copy, the filtered block and one
+    (rows, n) temporary, 32 (n/4 + m) n; 8 n (n + 5 m) bounds both.
     A grade's complement phase, from c > 8n/9 found, fits under it: its QR
     takes 8n(2c + 2n) < 34 c n, then r = n - c < n/9 rows at a time 88 r n.
     """
     n = (a * a + b * b, 2 * a * b)
     caps = [min(cap, k) for k in n]
     store = sum(c * k for c, k in zip(caps, n))
-    batch = 40 * min(cap - 1, max(caps)) * max(n)
+    batch = 8 * max(n) * (max(n) + 5 * min(cap - 1, max(caps)))
     return 24 * store + max(batch, 16 * cap * (a + b) ** 2)
 
 
@@ -215,21 +217,26 @@ def dynamical_lie_algebra(
     each flip one spin, one sector where none exists): each grade keeps its
     elements as two complex blocks and as real coordinates carrying
     Re tr(X^H Y), so `tol` bounds the Frobenius norm.  Commutators are
-    block products, projected as one block against their own grade alone,
-    those above `tol` once more, then one by one against the rows the block
-    inserted.  Once a grade holds over 8/9 of its directions, one QR spans
-    its complement by rows C_r, and the residuals of element i's
-    commutators in it take two block products, Re tr(C_r^H [X_j, X_i]) =
-    -2 Re tr((C_r X_i)^H X_j), less the directions inserted since.  Each
+    block products, buffered per grade and inserted as one batch once n_g/4
+    rows wait, before the grade's complement test and at each generation's
+    end: projected against their own grade alone, those above `tol` once
+    more, then by column-pivoted Gram-Schmidt, the largest downdated
+    residual first, kept if its norm recomputed against the batch's new
+    rows exceeds `tol`, and taken from the whole batch by a rank-1 update.
+    Once a grade holds over 8/9 of its directions, one QR spans its
+    complement by rows C_r, and the residuals of element i's commutators
+    in it take two block products, Re tr(C_r^H [X_j, X_i]) = -2 Re
+    tr((C_r X_i)^H X_j), less the directions inserted since.  Each
     generation's dimension, dim(S + [S, S]), depends on neither basis nor
     grading, so the history is the ungraded sweep's.  `basis` is dense,
     (dimension, d, d) in the caller's state order, even elements first.
     The peak stays within `_sweep_bytes(cap, a, b)` for cap = min(max_dim,
-    d^2) on sectors of a and b states, 24 S + max(40 m max_g n_g, 16 cap d^2)
-    bytes for grades of n_g = a^2 + b^2 and 2ab coordinates (S, m there):
-    d^2 * (24 * cap + max(40 * (cap - 1), 16 * cap)) for one sector, about
-    half for two equal ones.  Above 1 GiB it raises SweepTooLargeError (a
-    ValueError) once the grading is inferred, before it allocates.
+    d^2) on sectors of a and b states, 24 S + max(8 n (n + 5 m), 16 cap
+    d^2) bytes for grades of n_g = a^2 + b^2 and 2ab coordinates (n = max
+    n_g; S, m there): d^2 (24 cap + max(8 d^2 + 40 (cap - 1), 16 cap)) for
+    one sector, under half that for two equal ones.  Above 1 GiB it raises
+    SweepTooLargeError (a ValueError) once the grading is inferred, before
+    it allocates.
     """
     mats = [_check_hermitian(drift, "drift")]
     mats += [_check_hermitian(c, f"control {i}") for i, c in enumerate(controls)]
@@ -262,22 +269,33 @@ def dynamical_lie_algebra(
 
     def insert(g: int, block: np.ndarray) -> None:
         e, start, count = coords[g], counts[g], sum(counts)
-        block = block - (block @ e[:start].T) @ e[:start]
+        block -= (block @ e[:start].T) @ e[:start]
         block = block[np.linalg.norm(block, axis=1) > tol]
-        block = block - (block @ e[:start].T) @ e[:start]
-        k = start
-        for v in block:
-            if count + k - start >= cap or k >= caps[g]:
-                break
-            for _ in range(2):
-                v = v - (e[start:k] @ v) @ e[start:k]
-            norm = np.linalg.norm(v)
+        block -= (block @ e[:start].T) @ e[:start]
+        # column-pivoted Gram-Schmidt: the largest downdated residual first,
+        # accepted on its recomputed norm, as a downdate can cancel
+        res = np.einsum("ij,ij->i", block, block)
+        k, stop = start, min(caps[g], start + cap - count)
+        while k < stop and res.max(initial=0.0) > tol * tol:
+            i = np.argmax(res)
+            v = block[i] - (block[i] @ e[start:k].T) @ e[start:k]
+            res[i], norm = 0.0, np.linalg.norm(v)
             if norm > tol:
                 e[k] = v / norm
+                w = block @ e[k]
+                block -= w[:, None] * e[k]
+                res -= w * w
                 k += 1
         if k > start:
             unpack[g](e[start:k], ps[g][start:k], qs[g][start:k])
             grade_of[count : count + k - start], counts[g] = g, k
+
+    pending = [[], []]  # direct-path commutator blocks of each grade, not yet inserted
+
+    def flush(g: int) -> None:
+        if pending[g]:  # the pieces are released before the batch is inserted
+            pending[g], block = [], np.concatenate(pending[g])
+            insert(g, block)
 
     # pack keeps only the skew-Hermitian part, so roundoff in the
     # generators never leaks a Hermitian part into the basis
@@ -301,7 +319,8 @@ def dynamical_lie_algebra(
                 if m[h] == 0 or counts[r] >= caps[r]:
                     continue
                 if comp[r] is None and 8 * (n[r] - counts[r]) < counts[r]:
-                    # from here on, test against rows spanning the grade's smaller complement
+                    # from here on, test against rows spanning the grade's smaller complement;
+                    # counts[r] grows only in a flush of grade r, so none of its rows wait
                     q = np.linalg.qr(coords[r][: counts[r]].T, mode="complete")[0]
                     q = q[:, counts[r] :].T.copy()
                     cp, cq = (np.zeros((len(q), *s), dtype=complex) for s in shapes[r])
@@ -310,7 +329,9 @@ def dynamical_lie_algebra(
                 if comp[r] is None:
                     # elements are exactly skew-Hermitian, so x P = (P x)^H and the
                     # commutator P x - x P is twice the skew part of P x
-                    insert(r, 2 * pack[r](*_times(ps[h][: m[h]], qs[h][: m[h]], h, x, y)))
+                    pending[r].append(2 * pack[r](*_times(ps[h][: m[h]], qs[h][: m[h]], h, x, y)))
+                    if 4 * sum(map(len, pending[r])) >= n[r]:
+                        flush(r)
                     continue
                 # Re tr(C^H [X_j, X_i]) = -2 Re tr((C X_i)^H X_j) for skew-Hermitian
                 # C and X; then drop the parts along rows inserted since the QR
@@ -324,6 +345,8 @@ def dynamical_lie_algebra(
                 for j in range(0, len(rows), len(q)):
                     js = rows[j : j + len(q)]
                     insert(r, 2 * pack[r](*_times(ps[h][js], qs[h][js], h, x, y)))
+        flush(0)
+        flush(1)
         history.append((len(history), sum(counts) - prev_count, sum(counts)))
         if history[-1][1] == 0:
             break

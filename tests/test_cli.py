@@ -1,9 +1,12 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from ionctrl import cli
 from ionctrl.cli import main
 from ionctrl.csvio import strip_timestamp
+from ionctrl.liealg import LieAlgebraResult, SweepTooLargeError
 
 
 def read_rows(path):
@@ -301,6 +304,57 @@ output: {tmp_path}/lie_full
     assert main(["run", str(scn)]) == 2
     assert "task.max_dim" in capsys.readouterr().err
     assert not (tmp_path / "lie_full_liealg.csv").exists()
+
+
+LIE_FULL = """
+model: {{ions: 1, eta_sq: 0.5276681217111285, cutoff: {cutoff}}}
+colors:
+  - {{ion: 0, sideband: carrier}}
+  - {{ion: 0, sideband: blue}}
+task: {{kind: liealg, subspace: full}}
+output: {out}/lie
+"""
+
+
+@pytest.mark.parametrize("d", range(66, 80))
+def test_liealg_precheck_takes_the_spin_parity_sectors(tmp_path, capsys, monkeypatch, d):
+    """Full sweeps on d states split evenly between the spin parities are
+    admitted up to d = 78, within 1 GiB for the graded sweep, and d = 79 is
+    refused before the sweep runs; the subspace and sweep are stubbed."""
+    # d // 2 spin-down states (even) and the rest spin-up (odd) at cutoff 40
+    monkeypatch.setattr(cli, "_subspace", lambda scenario: list(range(40 - d // 2, 40 + d - d // 2)))
+    calls = []
+
+    def sweep(drift, controls, tol=None, max_dim=None):
+        calls.append(drift.shape)
+        return LieAlgebraResult(np.zeros((0, d, d)), d * d, True, 1, ((0, 3, 3), (1, d * d - 3, d * d)))
+
+    monkeypatch.setattr(cli, "dynamical_lie_algebra", sweep)
+    scn = write(tmp_path, "lie.yaml", LIE_FULL.format(cutoff=40, out=tmp_path))
+    code = main(["run", str(scn)])
+    if d < 79:
+        assert code == 0 and calls == [(d, d)]
+        return
+    assert code == 2 and calls == []
+    assert capsys.readouterr().err == (
+        "error: task.max_dim: a sweep over 6241 elements of dimension 79 needs about 1040 MiB,"
+        " above the 1024 MiB limit; set max_dim to bound it\n"
+    )
+    assert list(tmp_path.glob("lie_*")) == []
+
+
+def test_sweep_refused_by_the_library_exits_2_naming_max_dim(tmp_path, capsys, monkeypatch):
+    """A refusal the sweep raises itself, on sectors it infers otherwise
+    than the spin parity, exits 2 like the pre-check's."""
+
+    def sweep(drift, controls, tol=None, max_dim=None):
+        raise SweepTooLargeError("a sweep over 4 elements needs about 2048 MiB")
+
+    monkeypatch.setattr(cli, "dynamical_lie_algebra", sweep)
+    scn = write(tmp_path, "lie.yaml", LIE_FULL.format(cutoff=2, out=tmp_path))
+    assert main(["run", str(scn)]) == 2
+    assert capsys.readouterr().err == "error: task.max_dim: a sweep over 4 elements needs about 2048 MiB\n"
+    assert list(tmp_path.glob("lie_*")) == []
 
 
 def test_full_liealg_refused_before_building_its_generators(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Static checks on the package source: exported names resolve, no
-module imports a name it never uses, every private module-level name
+"""Static checks on the package source: exported names resolve, every
+import names the standard library or a runtime dependency, no module
+imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
 non-resonant paths, the raising index maps have four readers, the
@@ -9,6 +10,7 @@ emitter, and the command line writes files in one place."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,25 @@ def test_package_imports_resolve():
     ]
     assert imported
     assert [name for name in imported if not hasattr(package, name)] == []
+
+
+# pyproject's runtime dependencies, by import name, and the package itself
+RUNTIME_IMPORTS = {"numpy", "yaml", "ionctrl"}
+
+
+@pytest.mark.parametrize("name", MODULES + ["__init__"])
+def test_imports_are_stdlib_or_runtime_dependencies(name):
+    """Every import, at any depth, names the standard library, numpy, yaml
+    or the package itself: scipy and the other test dependencies are not
+    installed with the package."""
+    roots = {}
+    for node in ast.walk(parse(name)):
+        if isinstance(node, ast.Import):
+            roots.update((alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots[node.module.split(".")[0]] = node.lineno
+    allowed = set(sys.stdlib_module_names) | RUNTIME_IMPORTS
+    assert {root: line for root, line in roots.items() if root not in allowed} == {}
 
 
 @pytest.mark.parametrize("name", MODULES)

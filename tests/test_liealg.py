@@ -182,6 +182,15 @@ class TestDynamicalLieAlgebra:
         gram = flat.conj() @ flat.T
         assert np.max(np.abs(gram - np.eye(result.dimension))) < 1e-10
 
+    @pytest.mark.parametrize("name", ["closed_14", "ldl_10"])
+    def test_history_unchanged_by_scaling_the_generators(self, name):
+        # the default tol scales with the generators; a downdated residual
+        # is only accepted once its norm is recomputed above it
+        system, _, history, _ = FULL_HISTORY[name]
+        drift, controls = system()
+        result = dynamical_lie_algebra(1e-3 * drift, [1e-3 * c for c in controls])
+        assert result.history == history
+
     def test_oversized_sweep_refused_before_allocating(self):
         drift = np.diag(np.arange(100.0)).astype(complex)
         control = np.zeros((100, 100), dtype=complex)
@@ -200,8 +209,18 @@ class TestDynamicalLieAlgebra:
             (lambda: ldl_ladder(10)[1:], None),
             (lambda: ldl_ladder(10)[1:], 390),
             (lambda: odd_ring(11), None),
+            # a small cap: a flush of the commutator buffer sets the peak
+            (lambda: truncated_subsystem()[:2], 20),
         ],
-        ids=["closed_14", "closed_14_max_dim_50", "ldl_8", "ldl_10", "ldl_10_max_dim_390", "ungraded_11"],
+        ids=[
+            "closed_14",
+            "closed_14_max_dim_50",
+            "ldl_8",
+            "ldl_10",
+            "ldl_10_max_dim_390",
+            "ungraded_11",
+            "closed_14_max_dim_20",
+        ],
     )
     def test_peak_memory_within_estimate(self, system, max_dim):
         drift, controls = system()
