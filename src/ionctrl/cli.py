@@ -143,7 +143,7 @@ def run_liealg(scenario: Scenario) -> list[tuple]:
     p = scenario.task_params
     sub = _subspace(scenario)
     # the odd spin-parity states of the subspace, the sectors the sweep grades by
-    odd = sum(bin(i // scenario.model.basis.fock_cutoff).count("1") % 2 for i in sub)
+    odd = int(scenario.model.basis.spin_parity(sub).sum())
     try:
         _sweep_cap(len(sub) - odd, p.get("max_dim"), odd)  # before any operator is built
         # built on the subspace's indices alone: a closed sweep holds no d x d operator

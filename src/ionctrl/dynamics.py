@@ -76,7 +76,7 @@ def _parity_blocks(model: SystemModel, colors):
     block entries: flat (d/2, d/2) position, amplitude column (c raises
     color c, C + c lowers it) and value at unit Rabi, conjugated if lowering."""
     basis = model.basis
-    parity = np.repeat([bin(s).count("1") % 2 for s in range(2**basis.ion_count)], basis.fock_cutoff)
+    parity = basis.spin_parity(np.arange(basis.dimension))
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
     pos = np.empty(basis.dimension, dtype=np.intp)
     pos[even], pos[odd] = np.arange(len(even)), np.arange(len(odd))

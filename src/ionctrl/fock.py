@@ -86,6 +86,11 @@ class TruncatedBasis:
         spins = tuple((spin_code >> (self.ion_count - 1 - i)) & 1 for i in range(self.ion_count))
         return BasisState(spins=spins, phonon=phonon)
 
+    def spin_parity(self, indices) -> np.ndarray:
+        """0 (even) or 1 (odd) per basis index: its number of spins up, mod 2."""
+        parity = np.array([bin(s).count("1") % 2 for s in range(2**self.ion_count)])
+        return parity[np.asarray(indices, dtype=np.intp) // self.fock_cutoff]
+
     def states(self):
         return (self.state(i) for i in range(self.dimension))
 

@@ -11,6 +11,7 @@ close on the untruncated ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +37,36 @@ class SweepTooLargeError(ValueError):
 
 @dataclass(frozen=True)
 class LieAlgebraResult:
-    basis: np.ndarray  # (dimension, d, d) stacked skew-Hermitian, trace-orthonormal
+    """The sweep's history and its basis, held as the grade blocks it found:
+    grade g's elements are `ps[g]` and `qs[g]`, (count_g, ...) blocks p and q
+    on `sectors` (sorted state indices of a and b states), even diag(p, q)
+    and odd [[0, p], [q, 0]]."""
+
     dimension: int
     saturated: bool
     generations: int
     history: tuple[tuple[int, int, int], ...]  # (generation, new_directions, cumulative)
+    sectors: tuple[np.ndarray, np.ndarray]
+    ps: tuple[np.ndarray, np.ndarray]
+    qs: tuple[np.ndarray, np.ndarray]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """(dimension, d, d) stacked skew-Hermitian, trace-orthonormal, in the
+        caller's state order, even elements first; 16 dimension d^2 bytes,
+        built on first read."""
+        d = sum(map(len, self.sectors))
+        basis, lo = np.zeros((self.dimension, d, d), dtype=complex), 0
+        for g, (p, q) in enumerate(zip(self.ps, self.qs)):
+            for x, (rows, cols) in zip((p, q), _places(self.sectors, g)):
+                basis[lo : lo + len(x), rows[:, None], cols] = x
+            lo += len(p)
+        return basis
+
+
+def _places(sectors, g: int):
+    """The rows and columns of grade g's blocks p and q."""
+    return (sectors[0], sectors[g]), (sectors[1], sectors[1 - g])
 
 
 def _check_hermitian(mat: np.ndarray, name: str) -> np.ndarray:
@@ -150,20 +176,21 @@ def _sweep_bytes(cap: int, a: int, b: int = 0) -> int:
 
     Grade g holds min(cap, n_g) elements of n_g = (a^2 + b^2, 2ab)[g] real
     coordinates, with their complex blocks 24 * S bytes, S = sum_g min(cap,
-    n_g) n_g.  On top comes the larger of the dense basis returned (16 *
-    cap * d^2) and the commutators in flight onto n <= max n_g coordinates,
-    m <= min(cap - 1, max_g min(cap, n_g)) per element: a batch's products
-    and three real (m, n) temporaries, 40 m n, beside < n/4 buffered rows,
-    or a flush of < n/4 + m rows, their copy, the filtered block and one
-    (rows, n) temporary, 32 (n/4 + m) n; 8 n (n + 5 m) bounds both.
-    A grade's complement phase, from c > 8n/9 found, fits under it: its QR
-    takes 8n(2c + 2n) < 34 c n, then r = n - c < n/9 rows at a time 88 r n.
+    n_g) n_g.  On top come the commutators in flight onto n <= max n_g
+    coordinates, m <= min(cap - 1, max_g min(cap, n_g)) per element: a
+    batch's products and three real (m, n) temporaries, 40 m n, beside
+    < n/4 buffered rows, or a flush of < n/4 + m rows, their copy, the
+    filtered block and one (rows, n) temporary, 32 (n/4 + m) n; 8 n (n +
+    5 m) bounds both.  A grade's complement phase, from c > 8n/9 found,
+    fits under it: its QR takes 8n(2c + 2n) < 34 c n, then r = n - c < n/9
+    rows at a time 88 r n.  So do the trimmed copies of the blocks the
+    sweep returns, under 32 n min(cap, n) together.  The dense basis, 16
+    dimension d^2 bytes, is built only when the result's `basis` is read.
     """
     n = (a * a + b * b, 2 * a * b)
     caps = [min(cap, k) for k in n]
     store = sum(c * k for c, k in zip(caps, n))
-    batch = 8 * max(n) * (max(n) + 5 * min(cap - 1, max(caps)))
-    return 24 * store + max(batch, 16 * cap * (a + b) ** 2)
+    return 24 * store + 8 * max(n) * (max(n) + 5 * min(cap - 1, max(caps)))
 
 
 def _sweep_cap(a: int, max_dim, b: int = 0) -> int:
@@ -212,31 +239,38 @@ def dynamical_lie_algebra(
     skew-Hermitian matrices, is genuine saturation; stopping at a smaller
     cap is reported as unsaturated growth.
 
+    Each generator is first scaled to unit Frobenius norm, which changes
+    no span, so the rank decisions do not depend on the Hamiltonian's
+    units: `tol` bounds the Frobenius norm of a residual against unit-norm
+    elements, by default 1e-8 d (roundoff in a product of d x d matrices
+    grows with d, as in the rank tolerance of numpy's `matrix_rank`).
+
     The sweep is graded by a parity it infers from the generators
     (`_grading`; the spin parity for a diagonal drift and controls that
     each flip one spin, one sector where none exists): each grade keeps its
     elements as two complex blocks and as real coordinates carrying
-    Re tr(X^H Y), so `tol` bounds the Frobenius norm.  Commutators are
-    block products, buffered per grade and inserted as one batch once n_g/4
-    rows wait, before the grade's complement test and at each generation's
-    end: projected against their own grade alone, those above `tol` once
-    more, then by column-pivoted Gram-Schmidt, the largest downdated
-    residual first, kept if its norm recomputed against the batch's new
-    rows exceeds `tol`, and taken from the whole batch by a rank-1 update.
+    Re tr(X^H Y).  Commutators are block products, buffered per grade and
+    inserted as one batch once n_g/4 rows wait, before the grade's
+    complement test and at each generation's end: projected against their
+    own grade alone, those above `tol` once more, then by column-pivoted
+    Gram-Schmidt, the largest downdated residual first, kept if its norm
+    recomputed against the batch's new rows exceeds `tol`, and taken from
+    the whole batch by a rank-1 update.
     Once a grade holds over 8/9 of its directions, one QR spans its
     complement by rows C_r, and the residuals of element i's commutators
     in it take two block products, Re tr(C_r^H [X_j, X_i]) = -2 Re
     tr((C_r X_i)^H X_j), less the directions inserted since.  Each
     generation's dimension, dim(S + [S, S]), depends on neither basis nor
-    grading, so the history is the ungraded sweep's.  `basis` is dense,
-    (dimension, d, d) in the caller's state order, even elements first.
-    The peak stays within `_sweep_bytes(cap, a, b)` for cap = min(max_dim,
-    d^2) on sectors of a and b states, 24 S + max(8 n (n + 5 m), 16 cap
-    d^2) bytes for grades of n_g = a^2 + b^2 and 2ab coordinates (n = max
-    n_g; S, m there): d^2 (24 cap + max(8 d^2 + 40 (cap - 1), 16 cap)) for
-    one sector, under half that for two equal ones.  Above 1 GiB it raises
-    SweepTooLargeError (a ValueError) once the grading is inferred, before
-    it allocates.
+    grading, so the history is the ungraded sweep's.  The result keeps the
+    grade blocks, trimmed to the elements found; its dense `basis`,
+    (dimension, d, d) in the caller's state order, is built when first
+    read.  The peak stays within `_sweep_bytes(cap, a, b)` for cap =
+    min(max_dim, d^2) on sectors of a and b states, 24 S + 8 n (n + 5 m)
+    bytes for grades of n_g = a^2 + b^2 and 2ab coordinates (n = max n_g;
+    S, m there): d^2 (24 cap + 8 d^2 + 40 (cap - 1)) for one sector, about
+    72 d^4 for a full sweep, and 24 d^4 for a full sweep on two equal sectors.
+    Above 1 GiB it raises SweepTooLargeError (a ValueError) once the
+    grading is inferred, before it allocates.
     """
     mats = [_check_hermitian(drift, "drift")]
     mats += [_check_hermitian(c, f"control {i}") for i, c in enumerate(controls)]
@@ -246,12 +280,13 @@ def dynamical_lie_algebra(
     sectors, grades = _grading(mats)
     a, b = len(sectors[0]), len(sectors[1])
     cap = _sweep_cap(a, max_dim, b)
-    seeds = [1j * m for m in mats]
-    scale = max(np.linalg.norm(s) for s in seeds)
-    if scale == 0.0:
+    norms = [np.linalg.norm(m) for m in mats]
+    if max(norms) == 0.0:
         raise ValueError("all generators are zero")
+    # unit-norm generators span the same algebra, whatever the Hamiltonian's units
+    seeds = [1j * m / (k or 1.0) for m, k in zip(mats, norms)]
     if tol is None:
-        tol = 1e-8 * scale
+        tol = 1e-8 * d
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
 
@@ -263,8 +298,7 @@ def dynamical_lie_algebra(
     ps = [np.zeros((c, *s[0]), dtype=complex) for c, s in zip(caps, shapes)]
     qs = [np.zeros((c, *s[1]), dtype=complex) for c, s in zip(caps, shapes)]
     counts = [0, 0]  # elements found of each grade
-    # the rows and columns of each grade's blocks p and q
-    places = [((sectors[0], sectors[g]), (sectors[1], sectors[1 - g])) for g in (0, 1)]
+    places = [_places(sectors, g) for g in (0, 1)]
     grade_of = np.zeros(cap, dtype=np.int8)  # of each element, in insertion order
 
     def insert(g: int, block: np.ndarray) -> None:
@@ -352,20 +386,18 @@ def dynamical_lie_algebra(
             break
         gen_start = prev_count
     count = sum(counts)
-    # release the coordinates and complements before the dense basis is built
-    coords.clear()
-    comp.clear()
-    basis, lo = np.zeros((count, d, d), dtype=complex), 0
-    for g, k in enumerate(counts):  # the even elements first, then the odd
-        for x, (rows, cols) in zip((ps[g], qs[g]), places[g]):
-            basis[lo : lo + k, rows[:, None], cols] = x[:k]
-        lo += k
+    for blocks in (ps, qs):
+        for g, k in enumerate(counts):
+            if k < len(blocks[g]):  # a view would keep the whole buffer alive
+                blocks[g] = blocks[g][:k].copy()
     return LieAlgebraResult(
-        basis=basis,
         dimension=count,
         saturated=(history[-1][0] > 0 and history[-1][1] == 0) or count >= d * d,
         generations=history[-1][0],
         history=tuple(history),
+        sectors=sectors,
+        ps=tuple(ps),
+        qs=tuple(qs),
     )
 
 

@@ -283,18 +283,21 @@ def optimize(
     history: list[GenerationRecord] = []
     scale = search.mutation_scale
     stagnant = 0
+    n_child = search.population - search.elite
+    parents = np.empty((n_child, 2), dtype=np.intp)
+    masks, noise = np.empty((n_child, dim)), np.empty((n_child, dim))
 
     for gen in range(search.generations):
         order = np.argsort(-scores, kind="stable")
         elites = population[order[: search.elite]]
         elite_scores = scores[order[: search.elite]]
 
-        # per-child draws in the stream order of the one-child-at-a-time loop
-        draws = [
-            (rng.integers(0, search.elite, size=2), rng.random(dim), rng.standard_normal(dim))
-            for _ in range(search.population - search.elite)
-        ]
-        parents, masks, noise = (np.array(d) for d in zip(*draws))
+        # per-child draws in the stream order of the one-child-at-a-time loop;
+        # two scalar integers draw what one integers(0, elite, size=2) would
+        for c in range(n_child):
+            parents[c] = rng.integers(0, search.elite), rng.integers(0, search.elite)
+            rng.random(out=masks[c])
+            rng.standard_normal(out=noise[c])
         children = np.where(masks < 0.5, elites[parents[:, 0]], elites[parents[:, 1]])
         children = clip(children + noise * scale * span)
         child_scores = evaluate(children)

@@ -316,28 +316,30 @@ output: {out}/lie
 """
 
 
-@pytest.mark.parametrize("d", range(66, 80))
+@pytest.mark.parametrize("d", range(66, 83))
 def test_liealg_precheck_takes_the_spin_parity_sectors(tmp_path, capsys, monkeypatch, d):
     """Full sweeps on d states split evenly between the spin parities are
-    admitted up to d = 78, within 1 GiB for the graded sweep, and d = 79 is
+    admitted up to d = 81, within 1 GiB for the graded sweep, and d = 82 is
     refused before the sweep runs; the subspace and sweep are stubbed."""
-    # d // 2 spin-down states (even) and the rest spin-up (odd) at cutoff 40
-    monkeypatch.setattr(cli, "_subspace", lambda scenario: list(range(40 - d // 2, 40 + d - d // 2)))
+    # d // 2 spin-down states (even) and the rest spin-up (odd) at cutoff 42
+    monkeypatch.setattr(cli, "_subspace", lambda scenario: list(range(42 - d // 2, 42 + d - d // 2)))
     calls = []
 
     def sweep(drift, controls, tol=None, max_dim=None):
         calls.append(drift.shape)
-        return LieAlgebraResult(np.zeros((0, d, d)), d * d, True, 1, ((0, 3, 3), (1, d * d - 3, d * d)))
+        none = np.zeros((0, d, d), dtype=complex)
+        blocks = (np.arange(d), np.arange(0)), (none, none[..., :0]), (none[:, :0, :0], none[:, :0])
+        return LieAlgebraResult(d * d, True, 1, ((0, 3, 3), (1, d * d - 3, d * d)), *blocks)
 
     monkeypatch.setattr(cli, "dynamical_lie_algebra", sweep)
-    scn = write(tmp_path, "lie.yaml", LIE_FULL.format(cutoff=40, out=tmp_path))
+    scn = write(tmp_path, "lie.yaml", LIE_FULL.format(cutoff=42, out=tmp_path))
     code = main(["run", str(scn)])
-    if d < 79:
+    if d < 82:
         assert code == 0 and calls == [(d, d)]
         return
     assert code == 2 and calls == []
     assert capsys.readouterr().err == (
-        "error: task.max_dim: a sweep over 6241 elements of dimension 79 needs about 1040 MiB,"
+        "error: task.max_dim: a sweep over 6724 elements of dimension 82 needs about 1035 MiB,"
         " above the 1024 MiB limit; set max_dim to bound it\n"
     )
     assert list(tmp_path.glob("lie_*")) == []

@@ -184,12 +184,31 @@ class TestDynamicalLieAlgebra:
 
     @pytest.mark.parametrize("name", ["closed_14", "ldl_10"])
     def test_history_unchanged_by_scaling_the_generators(self, name):
-        # the default tol scales with the generators; a downdated residual
-        # is only accepted once its norm is recomputed above it
+        # the sweep normalises each generator, so the rank decisions do not
+        # depend on the Hamiltonian's units; a downdated residual is only
+        # accepted once its norm is recomputed above tol
         system, _, history, _ = FULL_HISTORY[name]
         drift, controls = system()
-        result = dynamical_lie_algebra(1e-3 * drift, [1e-3 * c for c in controls])
-        assert result.history == history
+        for scale in (1e-3, 1e3, 1e6):
+            result = dynamical_lie_algebra(scale * drift, [scale * c for c in controls])
+            assert result.history == history, scale
+
+    def test_basis_is_the_blocks_scattered_even_first_on_first_read(self):
+        drift, controls = truncated_subsystem()[:2]
+        result = dynamical_lie_algebra(drift, controls, max_dim=50)
+        assert "basis" not in vars(result)
+        (even, odd), (p0, p1), (q0, q1) = result.sectors, result.ps, result.qs
+        assert len(p0) + len(p1) == result.dimension == 50
+        basis = result.basis
+        assert result.basis is basis
+        expected = np.zeros((50, 14, 14), dtype=complex)
+        for k in range(len(p0)):
+            expected[k][np.ix_(even, even)] = p0[k]
+            expected[k][np.ix_(odd, odd)] = q0[k]
+        for k in range(len(p1)):
+            expected[len(p0) + k][np.ix_(even, odd)] = p1[k]
+            expected[len(p0) + k][np.ix_(odd, even)] = q1[k]
+        np.testing.assert_array_equal(basis, expected)
 
     def test_oversized_sweep_refused_before_allocating(self):
         drift = np.diag(np.arange(100.0)).astype(complex)
@@ -310,10 +329,16 @@ class TestDynamicalLieAlgebra:
 
 class TestVerdict:
     def test_enumerated_cases(self):
-        dummy = np.zeros((0, 2, 2), dtype=complex)
-        sat3 = LieAlgebraResult(basis=dummy, dimension=3, saturated=True, generations=1, history=())
-        sat2 = LieAlgebraResult(basis=dummy, dimension=2, saturated=True, generations=1, history=())
-        cap = LieAlgebraResult(basis=dummy, dimension=4, saturated=False, generations=1, history=())
+        # no blocks: the verdict reads only dimension and saturated
+        none = np.zeros((0, 2, 2), dtype=complex)
+        blocks = dict(
+            sectors=(np.arange(2), np.arange(0)),
+            ps=(none, none[..., :0]),
+            qs=(none[:, :0, :0], none[:, :0]),
+        )
+        sat3 = LieAlgebraResult(dimension=3, saturated=True, generations=1, history=(), **blocks)
+        sat2 = LieAlgebraResult(dimension=2, saturated=True, generations=1, history=(), **blocks)
+        cap = LieAlgebraResult(dimension=4, saturated=False, generations=1, history=(), **blocks)
         assert controllability_verdict(sat3, 2) == "controllable"
         assert controllability_verdict(sat2, 2) == "uncontrollable"
         assert controllability_verdict(cap, 2) == "inconclusive"
