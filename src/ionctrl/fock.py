@@ -152,14 +152,15 @@ def displacement_exact(eta: float, fock_cutoff: int) -> np.ndarray:
             )
 
 
-def _manifold(dn: int, eta: float, count: int) -> np.ndarray:
-    """<n+dn| exp(i eta (a + a_dag)) |n> = <n| ... |n+dn> for n = 0 .. count-1: the closed
+def _manifold(dn: int, eta: float, count: int, first: int = 0) -> np.ndarray:
+    """<n+dn| exp(i eta (a + a_dag)) |n> = <n| ... |n+dn> for n = first .. count-1: the closed
     form i^dn exp(-eta^2/2) sqrt(n!/(n+dn)!) eta^dn L_n^dn(eta^2) from one Laguerre pass,
-    the factorial ratio a running product; eta**dn past double precision raises OverflowError."""
-    ratio = np.ones(count)
+    the factorial ratio a running product over those n alone, each entry the same bits
+    whatever `first`; eta**dn past double precision raises OverflowError."""
+    ratio = np.ones(count - first)
     for k in range(1, dn + 1):
-        ratio /= np.sqrt(np.arange(k, count + k))
-    lag = np.fromiter(_ladder(dn, eta**2), float, count)
+        ratio /= np.sqrt(np.arange(first + k, count + k))
+    lag = np.fromiter(_ladder(dn, eta**2), float, count)[first:]
     # i^dn from a table: 1j**dn is exact only up to dn = 100
     return (1 + 0j, 1j, -1 + 0j, -1j)[dn % 4] * (np.exp(-0.5 * eta**2) * ratio * eta**dn * lag)
 
@@ -171,7 +172,8 @@ def displacement_element(n_to: int, n_from: int, eta: float) -> complex:
     if eta < 0:
         raise ValueError(f"eta must be nonnegative, got {eta}")
     with np.errstate(over="ignore", invalid="ignore"):
-        value = complex(_manifold(abs(n_to - n_from), eta, min(n_to, n_from) + 1)[-1])
+        n = min(n_to, n_from)
+        value = complex(_manifold(abs(n_to - n_from), eta, n + 1, n)[0])
     if not np.isfinite(value):
         raise OverflowError(f"<{n_to}|D|{n_from}> at eta={eta} overflows double precision")
     return value

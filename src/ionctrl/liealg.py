@@ -10,6 +10,7 @@ close on the untruncated ladder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,27 +118,54 @@ def _real_coordinates(d: int):
 
 def _grading(mats: list) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
     """Sectors (sorted state indices) of a parity that grades the generators,
-    and each generator's grade: odd where its diagonal is exactly zero, else
-    even.  The states are 2-coloured so that off-diagonal entries of odd
-    generators join the sectors and those of even ones stay inside one;
-    without such a colouring, one sector and every generator even."""
+    and each generator's grade, solved together over GF(2): a nonzero entry
+    (j, k) of generator m asks c_j + c_k = g_m of the state colours c and
+    the grades g, so a nonzero diagonal makes m even.  Each generator, in
+    order, is odd unless those equations force it even; where they force
+    every one even, one sector."""
     d = len(mats[0])
-    grades = [int(not m.diagonal().any()) for m in mats]
-    links = np.zeros((2, d, d), dtype=bool)  # [g]: joined by a grade-g generator
-    for m, g in zip(mats, grades):
-        links[g] |= m != 0
-    colour = np.full(d, -1)
+    links = np.array([(m != 0) | (m != 0).T for m in mats])
+    joined = links.any(axis=0)
+    # a spanning forest, each tree's first state coloured 0: c_j is the sum
+    # of the grades whose bits are set in path[j]
+    path, seen = [0] * d, np.zeros(d, dtype=bool)
     for start in range(d):
-        if colour[start] < 0:
-            colour[start], stack = 0, [start]
+        if not seen[start]:
+            seen[start], stack = True, [start]
             while stack:
                 j = stack.pop()
-                new = np.flatnonzero((links[0, j] | links[1, j]) & (colour < 0))
-                colour[new] = colour[j] ^ links[1, j, new]
-                stack.extend(new)
-    apart = colour[:, None] != colour
-    if (links[0] & apart).any() or (links[1] & ~apart).any():
-        return (np.arange(d), np.arange(0)), [0] * len(mats)
+                new = np.flatnonzero(joined[j] & ~seen)
+                seen[new] = True
+                for k, g in zip(new.tolist(), links[:, j, new].argmax(axis=0).tolist()):
+                    path[k] = path[j] ^ 1 << g
+                    stack.append(k)
+    # each equation c_j + c_k + g_m = 0 as the set bits of the grades it sums
+    sums = {
+        path[j] ^ path[k] ^ 1 << g
+        for g, link in enumerate(links)
+        for j, k in np.argwhere(np.triu(link)).tolist()
+    }
+    pivots = {}  # Gauss-Jordan: pivot bit -> (bits, value) of a row
+
+    def solve(bits: int, value: int) -> None:
+        """Add the row bits . g = value, unless the rows so far imply its bits."""
+        for p, (pb, pv) in pivots.items():
+            if bits >> p & 1:
+                bits, value = bits ^ pb, value ^ pv
+        if bits:
+            p = (bits & -bits).bit_length() - 1
+            for q, (qb, qv) in pivots.items():
+                if qb >> p & 1:
+                    pivots[q] = (qb ^ bits, qv ^ value)
+            pivots[p] = (bits, value)
+
+    for bits in sums:
+        solve(bits, 0)
+    for g in range(len(mats)):
+        solve(1 << g, 1)
+    grades = [pivots[g][1] for g in range(len(mats))]
+    odd = sum(g << m for m, g in enumerate(grades))
+    colour = np.array([(p & odd).bit_count() & 1 for p in path])
     return (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), grades
 
 
@@ -214,6 +242,11 @@ def _sweep_cap(a: int, max_dim, b: int = 0) -> int:
     return cap
 
 
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """np.linalg.norm(x, axis=axis) of a real x, bit for bit, without its copy of x.conj()."""
+    return np.sqrt(np.add.reduce(x * x, axis))
+
+
 def _times(p: np.ndarray, q: np.ndarray, g: int, x: np.ndarray, y: np.ndarray):
     """(m, entries) blocks of the products of grade-g (p, q) by (x, y)."""
     if g:
@@ -247,7 +280,7 @@ def dynamical_lie_algebra(
 
     The sweep is graded by a parity it infers from the generators
     (`_grading`; the spin parity for a diagonal drift and controls that
-    each flip one spin, one sector where none exists): each grade keeps its
+    each flip one spin, one sector where all must be even): each grade keeps its
     elements as two complex blocks and as real coordinates carrying
     Re tr(X^H Y).  Commutators are block products, buffered per grade and
     inserted as one batch once n_g/4 rows wait, before the grade's
@@ -304,20 +337,29 @@ def dynamical_lie_algebra(
     def insert(g: int, block: np.ndarray) -> None:
         e, start, count = coords[g], counts[g], sum(counts)
         block -= (block @ e[:start].T) @ e[:start]
-        block = block[np.linalg.norm(block, axis=1) > tol]
+        block = block[_norms(block, 1) > tol]
+        if not len(block):
+            return
         block -= (block @ e[:start].T) @ e[:start]
         # column-pivoted Gram-Schmidt: the largest downdated residual first,
         # accepted on its recomputed norm, as a downdate can cancel
         res = np.einsum("ij,ij->i", block, block)
         k, stop = start, min(caps[g], start + cap - count)
-        while k < stop and res.max(initial=0.0) > tol * tol:
-            i = np.argmax(res)
-            v = block[i] - (block[i] @ e[start:k].T) @ e[start:k]
-            res[i], norm = 0.0, np.linalg.norm(v)
+        while k < stop:
+            i = res.argmax()
+            if not res[i] > tol * tol:
+                break
+            v = block[i]
+            if k > start:  # projecting on no rows would subtract zeros
+                found = e[start:k]
+                v = v - (v @ found.T) @ found
+            # np.linalg.norm of a real vector, without its checks
+            res[i], norm = 0.0, math.sqrt(v.dot(v))
             if norm > tol:
-                e[k] = v / norm
-                w = block @ e[k]
-                block -= w[:, None] * e[k]
+                row = e[k]
+                np.divide(v, norm, out=row)
+                w = block @ row
+                block -= w[:, None] * row
                 res -= w * w
                 k += 1
         if k > start:
@@ -325,10 +367,11 @@ def dynamical_lie_algebra(
             grade_of[count : count + k - start], counts[g] = g, k
 
     pending = [[], []]  # direct-path commutator blocks of each grade, not yet inserted
+    waiting = [0, 0]  # their rows
 
     def flush(g: int) -> None:
         if pending[g]:  # the pieces are released before the batch is inserted
-            pending[g], block = [], np.concatenate(pending[g])
+            pending[g], waiting[g], block = [], 0, np.concatenate(pending[g])
             insert(g, block)
 
     # pack keeps only the skew-Hermitian part, so roundoff in the
@@ -364,7 +407,8 @@ def dynamical_lie_algebra(
                     # elements are exactly skew-Hermitian, so x P = (P x)^H and the
                     # commutator P x - x P is twice the skew part of P x
                     pending[r].append(2 * pack[r](*_times(ps[h][: m[h]], qs[h][: m[h]], h, x, y)))
-                    if 4 * sum(map(len, pending[r])) >= n[r]:
+                    waiting[r] += m[h]
+                    if 4 * waiting[r] >= n[r]:
                         flush(r)
                     continue
                 # Re tr(C^H [X_j, X_i]) = -2 Re tr((C X_i)^H X_j) for skew-Hermitian
@@ -375,7 +419,7 @@ def dynamical_lie_algebra(
                 parts = -2 * (cu.view(float) @ pj.T + cv.view(float) @ qj.T)
                 since = coords[r][qr_count : counts[r]] @ q.T
                 parts -= since.T @ (since @ parts)
-                rows = np.flatnonzero(np.linalg.norm(parts, axis=0) > tol)
+                rows = np.flatnonzero(_norms(parts, 0) > tol)
                 for j in range(0, len(rows), len(q)):
                     js = rows[j : j + len(q)]
                     insert(r, 2 * pack[r](*_times(ps[h][js], qs[h][js], h, x, y)))

@@ -11,7 +11,7 @@ from ionctrl import (
     displacement_exact,
     laguerre_zeros,
 )
-from ionctrl.fock import _evolve
+from ionctrl.fock import _evolve, _manifold
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]   # severs the blue 6->7 edge
 ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
@@ -117,6 +117,16 @@ class TestDisplacementElement:
             elem = displacement_element(n_to, n_from, np.sqrt(ROOT_BLUE))
             assert elem != 0.0
             assert (elem.imag if dn % 2 == 0 else elem.real) == 0.0
+
+    @pytest.mark.parametrize("eta", [0.5, np.sqrt(ROOT_BLUE)])
+    def test_element_is_the_manifold_entry_bit_for_bit(self, eta):
+        # the element starts the factorial ratio at its own rung, the
+        # manifold at rung 0; every product and quotient is the same
+        for n_to in (*range(40), 100, 541):
+            for n_from in (*range(40), 100, 541):
+                dn, n = abs(n_to - n_from), min(n_to, n_from)
+                expected = complex(_manifold(dn, eta, n + 1)[-1])
+                assert displacement_element(n_to, n_from, eta) == expected
 
     @pytest.mark.parametrize("n_to, n_from", [(2000, 1000), (1000, 2000)])
     def test_overflowing_recurrence_raises_naming_the_element(self, n_to, n_from):

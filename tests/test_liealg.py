@@ -107,6 +107,14 @@ FULL_HISTORY = {
         ((0, 3, 3), (1, 2, 5), (2, 5, 10), (3, 23, 33), (4, 131, 164), (5, 226, 390)),
         False,
     ),
+    # one sector; the ring of 13 is not pinned: generation 7 finds 46 new
+    # directions at its default tol and 47 at a third of it
+    "ring_11": (
+        lambda: odd_ring(11),
+        None,
+        ((0, 2, 2), (1, 1, 3), (2, 2, 5), (3, 6, 11), (4, 21, 32), (5, 30, 62), (6, 36, 98), (7, 23, 121)),
+        True,
+    ),
 }
 
 
@@ -181,6 +189,16 @@ class TestDynamicalLieAlgebra:
         assert np.max(np.abs(result.basis + result.basis.conj().transpose(0, 2, 1))) < 1e-12
         gram = flat.conj() @ flat.T
         assert np.max(np.abs(gram - np.eye(result.dimension))) < 1e-10
+
+    @pytest.mark.parametrize("name", sorted(FULL_HISTORY))
+    def test_pinned_history_holds_from_a_third_to_three_times_tol(self, name):
+        # a pin near the edge of its stable window would move with roundoff
+        system, max_dim, history, _ = FULL_HISTORY[name]
+        drift, controls = system()
+        for scale in (1 / 3, 3):
+            tol = scale * 1e-8 * len(drift)
+            result = dynamical_lie_algebra(drift, controls, tol=tol, max_dim=max_dim)
+            assert result.history == history, scale
 
     @pytest.mark.parametrize("name", ["closed_14", "ldl_10"])
     def test_history_unchanged_by_scaling_the_generators(self, name):

@@ -109,6 +109,27 @@ def test_two_ion_28_splits_fourteen_and_fourteen():
     assert grades == [0, 1, 1, 1]
 
 
+def test_even_coupling_inside_a_sector_is_graded():
+    # an odd control along the chain 0-3-1-4-2-5 and an even one joining 0-1
+    # and 3-4; both have a zero diagonal, and only the cycle 0-3-1 tells
+    # that the second keeps to the sectors {0, 1, 2} and {3, 4, 5}
+    drift = np.diag([0.0, 1.0, 2.5, 0.5, 1.5, 3.0]).astype(complex)
+    odd, even = np.zeros((2, 6, 6), dtype=complex)
+    for h, pairs in ((odd, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5)]), (even, [(0, 1), (3, 4)])):
+        for j, k in pairs:
+            h[j, k] = h[k, j] = 1.0
+    mats = [drift, odd, even]
+    sectors, grades = _grading(mats)
+    assert [s.tolist() for s in sectors] == [[0, 1, 2], [3, 4, 5]]
+    assert grades == [0, 1, 0]
+    p = parity(sectors)
+    for m, g in zip(mats, grades):
+        np.testing.assert_array_equal(p[:, None] * m * p, (-1) ** g * m)
+    result = dynamical_lie_algebra(drift, [odd, even])
+    scale = max(np.linalg.norm(m) for m in mats)
+    assert (result.history, result.dimension, result.saturated) == reference_sweep(mats, 1e-8 * scale, None)
+
+
 def test_parity_conflict_gives_one_sector():
     # SX is odd and joins states 0 and 1; SZ + SX has a diagonal, so it is
     # even and keeps them in one sector.  A ring of 5 states has no 2-colouring
