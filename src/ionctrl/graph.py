@@ -64,30 +64,34 @@ def build_graph(
     return CouplingGraph(vertices=tuple(model.basis.states()), edges=tuple(edges))
 
 
+def _traverse(neighbours) -> tuple[list[int], list[int]]:
+    """Depth-first walk of a graph given as each vertex's neighbours: each
+    vertex's component, numbered by its smallest member, and the parity of
+    its depth in the walk's spanning forest."""
+    component, parity = [-1] * len(neighbours), [0] * len(neighbours)
+    for start in range(len(neighbours)):
+        if component[start] < 0:
+            component[start], stack = start, [start]
+            while stack:
+                v = stack.pop()
+                for w in neighbours[v]:
+                    if component[w] < 0:
+                        component[w], parity[w] = start, parity[v] ^ 1
+                        stack.append(w)
+    return component, parity
+
+
 def connected_components(graph: CouplingGraph) -> list[set[int]]:
     """Vertex partition by transitive coupling, ordered by smallest
     contained index."""
-    adjacency: dict[int, list[int]] = {v: [] for v in range(graph.vertex_count)}
+    neighbours: list[list[int]] = [[] for _ in range(graph.vertex_count)]
     for e in graph.edges:
-        adjacency[e.a].append(e.b)
-        adjacency[e.b].append(e.a)
-    seen = [False] * graph.vertex_count
-    components = []
-    for start in range(graph.vertex_count):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = {start}
-        while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    stack.append(w)
-        components.append(comp)
-    return components
+        neighbours[e.a].append(e.b)
+        neighbours[e.b].append(e.a)
+    components: dict[int, set[int]] = {}
+    for v, c in enumerate(_traverse(neighbours)[0]):
+        components.setdefault(c, set()).add(v)
+    return list(components.values())
 
 
 def is_transitively_connected(graph: CouplingGraph, subset) -> bool:

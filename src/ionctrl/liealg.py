@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .graph import _traverse
 from .model import PHONON_SHIFT, SIDEBANDS, SystemModel, _rungs
 
 __all__ = [
@@ -118,55 +119,22 @@ def _real_coordinates(d: int):
 
 def _grading(mats: list) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
     """Sectors (sorted state indices) of a parity that grades the generators,
-    and each generator's grade, solved together over GF(2): a nonzero entry
-    (j, k) of generator m asks c_j + c_k = g_m of the state colours c and
-    the grades g, so a nonzero diagonal makes m even.  Each generator, in
-    order, is odd unless those equations force it even; where they force
-    every one even, one sector."""
+    and each generator's grade.  The states are coloured by the parity of
+    their depth in a walk along every off-diagonal link (`graph._traverse`);
+    where every link then crosses between the colours, a generator with no
+    nonzero diagonal is odd and one with no nonzero off-diagonal entry (a
+    diagonal drift) even.  Any other generator set runs as one sector,
+    every generator even."""
     d = len(mats[0])
-    links = np.array([(m != 0) | (m != 0).T for m in mats])
+    links = np.array([m != 0 for m in mats])
+    diagonal = links[:, range(d), range(d)].any(axis=1)
+    links[:, range(d), range(d)] = False
     joined = links.any(axis=0)
-    # a spanning forest, each tree's first state coloured 0: c_j is the sum
-    # of the grades whose bits are set in path[j]
-    path, seen = [0] * d, np.zeros(d, dtype=bool)
-    for start in range(d):
-        if not seen[start]:
-            seen[start], stack = True, [start]
-            while stack:
-                j = stack.pop()
-                new = np.flatnonzero(joined[j] & ~seen)
-                seen[new] = True
-                for k, g in zip(new.tolist(), links[:, j, new].argmax(axis=0).tolist()):
-                    path[k] = path[j] ^ 1 << g
-                    stack.append(k)
-    # each equation c_j + c_k + g_m = 0 as the set bits of the grades it sums
-    sums = {
-        path[j] ^ path[k] ^ 1 << g
-        for g, link in enumerate(links)
-        for j, k in np.argwhere(np.triu(link)).tolist()
-    }
-    pivots = {}  # Gauss-Jordan: pivot bit -> (bits, value) of a row
-
-    def solve(bits: int, value: int) -> None:
-        """Add the row bits . g = value, unless the rows so far imply its bits."""
-        for p, (pb, pv) in pivots.items():
-            if bits >> p & 1:
-                bits, value = bits ^ pb, value ^ pv
-        if bits:
-            p = (bits & -bits).bit_length() - 1
-            for q, (qb, qv) in pivots.items():
-                if qb >> p & 1:
-                    pivots[q] = (qb ^ bits, qv ^ value)
-            pivots[p] = (bits, value)
-
-    for bits in sums:
-        solve(bits, 0)
-    for g in range(len(mats)):
-        solve(1 << g, 1)
-    grades = [pivots[g][1] for g in range(len(mats))]
-    odd = sum(g << m for m, g in enumerate(grades))
-    colour = np.array([(p & odd).bit_count() & 1 for p in path])
-    return (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), grades
+    joined |= joined.T
+    colour = np.array(_traverse([np.flatnonzero(row).tolist() for row in joined])[1])
+    if (diagonal & links.any(axis=(1, 2))).any() or (joined & (colour[:, None] == colour)).any():
+        return (np.arange(d), np.arange(0)), [0] * len(mats)
+    return (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), [int(not g) for g in diagonal]
 
 
 def _grade_coordinates(a: int, b: int):
@@ -198,9 +166,8 @@ def _grade_coordinates(a: int, b: int):
     return (pack_even, pack_odd), (unpack_even, unpack_odd)
 
 
-def _sweep_bytes(cap: int, a: int, b: int = 0) -> int:
-    """Peak bytes of a sweep over cap elements on sectors of a and b states;
-    b = 0, one sector of d = a states, bounds every split of d.
+def _sweep_bytes(cap: int, a: int, b: int) -> int:
+    """Peak bytes of a sweep over cap elements on sectors of a and b states.
 
     Grade g holds min(cap, n_g) elements of n_g = (a^2 + b^2, 2ab)[g] real
     coordinates, with their complex blocks 24 * S bytes, S = sum_g min(cap,
@@ -221,7 +188,7 @@ def _sweep_bytes(cap: int, a: int, b: int = 0) -> int:
     return 24 * store + 8 * max(n) * (max(n) + 5 * min(cap - 1, max(caps)))
 
 
-def _sweep_cap(a: int, max_dim, b: int = 0) -> int:
+def _sweep_cap(a: int, max_dim, b: int) -> int:
     """The number of elements a sweep on sectors of a and b states (d = a + b)
     may find, min(max_dim, d^2); raises ValueError for a max_dim that is
     not a positive integer, and SweepTooLargeError where _sweep_bytes
@@ -280,7 +247,9 @@ def dynamical_lie_algebra(
 
     The sweep is graded by a parity it infers from the generators
     (`_grading`; the spin parity for a diagonal drift and controls that
-    each flip one spin, one sector where all must be even): each grade keeps its
+    each flip one spin, one sector for a generator set whose off-diagonal
+    links admit no 2-colouring or that mixes a diagonal with off-diagonal
+    entries): each grade keeps its
     elements as two complex blocks and as real coordinates carrying
     Re tr(X^H Y).  Commutators are block products, buffered per grade and
     inserted as one batch once n_g/4 rows wait, before the grade's

@@ -68,6 +68,11 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class IonConfig:
+    """One ion's qubit splitting and whether colors address it alone.  Both
+    are read only by `liealg.degeneracy_report`: every Hamiltonian built
+    here drives only each color's target ion, so an ion that is not
+    individually addressable still evolves as if it were."""
+
     qubit_splitting: float = 1.0
     individually_addressable: bool = True
 
@@ -115,7 +120,8 @@ class SystemModel:
             raise ValueError("mode_weights length must match ion count")
 
     def effective_eta(self, ion: int) -> float:
-        """Lamb-Dicke parameter seen by one ion (participation included)."""
+        """Magnitude of the Lamb-Dicke parameter seen by one ion (participation
+        included); `_rungs` applies the sign of its mode weight."""
         return abs(self.trap.mode_weights[ion]) * self.trap.lamb_dicke
 
     def check_color(self, color: FieldColor) -> None:
@@ -143,11 +149,15 @@ def ldl_coupling(n, sideband: str, eta: float):
 def _rungs(model: SystemModel, ion: int, dn: int, count: int) -> np.ndarray:
     """<..up.., n+dn| K |..down.., n> of one ion for min(n, n+dn) = 0 .. count-1:
     the exact displacement elements, or in LDL models (dn in -1, 0, 1, sideband
-    SIDEBANDS[dn]) the first-order couplings times i^|dn|, as in the oracle."""
+    SIDEBANDS[dn]) the first-order couplings times i^|dn|, as in the oracle.
+    A negative mode weight w displaces the other way, exp(i eta w (a + a_dag)),
+    which multiplies each element by sign(w)^|dn|."""
     eta = model.effective_eta(ion)
     if not model.ldl:
-        return _manifold(abs(dn), eta, count)
-    return 1j ** abs(dn) * ldl_coupling(np.arange(count) - min(dn, 0), SIDEBANDS[dn], eta)
+        rungs = _manifold(abs(dn), eta, count)
+    else:
+        rungs = 1j ** abs(dn) * ldl_coupling(np.arange(count) - min(dn, 0), SIDEBANDS[dn], eta)
+    return -rungs if dn % 2 and model.trap.mode_weights[ion] < 0 else rungs
 
 
 def coupling_strength(model: SystemModel, color: FieldColor, n: int) -> complex:

@@ -4,9 +4,10 @@ imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
 non-resonant paths, the raising index maps have four readers, the
-Laguerre recurrence is written once and couplings are taken a manifold
-at a time, YAML is read and written only by the scenario parser and
-emitter, and the command line writes files in one place."""
+Laguerre recurrence is written once, one walk serves every state graph,
+couplings are taken a manifold at a time, YAML is read and written only
+by the scenario parser and emitter, and the command line writes files in
+one place."""
 
 import ast
 import importlib
@@ -184,6 +185,12 @@ def test_laguerre_ladder_has_two_readers():
     """`laguerre._ladder` (the one upward recurrence) is read only by
     `laguerre` and the displacement kernel of a whole manifold."""
     assert function_users("_ladder") == {"laguerre.laguerre", "fock._manifold"}
+
+
+def test_state_graph_walk_has_two_readers():
+    """`graph._traverse` (the one walk over a state graph) is referenced
+    only by the coupling graph's components and the Lie sweep's grading."""
+    assert function_users("_traverse") == {"graph.connected_components", "liealg._grading"}
 
 
 def test_no_per_element_coupling_calls():

@@ -8,7 +8,10 @@ report the reference's history, dimension and saturation, and every
 element it returns must be even or odd under the parity it inferred.
 """
 
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +26,10 @@ from ionctrl import (
     closed_subspace,
     dynamical_lie_algebra,
 )
+from ionctrl.cli import _subspace
 from ionctrl.liealg import _grading
+from ionctrl.model import _generators
+from ionctrl.scenario import parse_scenario
 from test_liealg import ROOT_BLUE, SX, SZ, ldl_ladder, odd_ring, truncated_subsystem
 from test_liealg_properties import ENTRIES, reference_sweep
 
@@ -109,10 +115,11 @@ def test_two_ion_28_splits_fourteen_and_fourteen():
     assert grades == [0, 1, 1, 1]
 
 
-def test_even_coupling_inside_a_sector_is_graded():
+def test_even_coupling_inside_a_sector_runs_as_one_sector():
     # an odd control along the chain 0-3-1-4-2-5 and an even one joining 0-1
-    # and 3-4; both have a zero diagonal, and only the cycle 0-3-1 tells
-    # that the second keeps to the sectors {0, 1, 2} and {3, 4, 5}
+    # and 3-4: the sectors {0, 1, 2} and {3, 4, 5} grade both, but the
+    # grading colours the states so that every off-diagonal link crosses,
+    # which the cycle 0-3-1 forbids, so the set runs as one sector
     drift = np.diag([0.0, 1.0, 2.5, 0.5, 1.5, 3.0]).astype(complex)
     odd, even = np.zeros((2, 6, 6), dtype=complex)
     for h, pairs in ((odd, [(0, 3), (3, 1), (1, 4), (4, 2), (2, 5)]), (even, [(0, 1), (3, 4)])):
@@ -120,11 +127,8 @@ def test_even_coupling_inside_a_sector_is_graded():
             h[j, k] = h[k, j] = 1.0
     mats = [drift, odd, even]
     sectors, grades = _grading(mats)
-    assert [s.tolist() for s in sectors] == [[0, 1, 2], [3, 4, 5]]
-    assert grades == [0, 1, 0]
-    p = parity(sectors)
-    for m, g in zip(mats, grades):
-        np.testing.assert_array_equal(p[:, None] * m * p, (-1) ** g * m)
+    assert [s.tolist() for s in sectors] == [list(range(6)), []]
+    assert grades == [0, 0, 0]
     result = dynamical_lie_algebra(drift, [odd, even])
     scale = max(np.linalg.norm(m) for m in mats)
     assert (result.history, result.dimension, result.saturated) == reference_sweep(mats, 1e-8 * scale, None)
@@ -143,3 +147,47 @@ def test_parity_conflict_gives_one_sector():
     result = dynamical_lie_algebra(SZ, [SX, SZ + SX])
     assert result.dimension == 3
     assert result.saturated
+
+
+def one_ion(eta, cutoff, ldl=False):
+    return SystemModel(TrapConfig(1.0, eta), (IonConfig(),), TruncatedBasis(1, cutoff), ldl)
+
+
+BICHROMATIC = [FieldColor(0, "carrier"), FieldColor(0, "blue")]
+# criterion 4's systems: model, colors, and whether the sweep takes the closed subspace
+TRAFFIC = {
+    "closed_14": (one_ion(np.sqrt(ROOT_BLUE), 20), BICHROMATIC, True),
+    "ldl_6": (one_ion(0.1, 6, ldl=True), BICHROMATIC, False),
+    "ldl_8": (one_ion(0.1, 8, ldl=True), BICHROMATIC, False),
+    "ldl_10": (one_ion(0.1, 10, ldl=True), BICHROMATIC, False),
+    "two_ion_28": (
+        SystemModel(
+            TrapConfig(1.0, np.sqrt(ROOT_BLUE), (1.0, 1.0)),
+            (IonConfig(), IonConfig()),
+            TruncatedBasis(2, 16),
+        ),
+        [FieldColor(0, "blue"), FieldColor(1, "blue"), FieldColor(0, "carrier")],
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["liealg_truncated", *TRAFFIC])
+def test_program_traffic_is_graded_by_spin_parity(name):
+    # the split `cli.run_liealg` sizes its memory guard by, before any operator
+    # is built: the spin parity of the subspace, drift even, every control odd
+    if name == "liealg_truncated":
+        path = Path(__file__).parents[1] / "scenarios" / f"{name}.yaml"
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        model, sub = scenario.model, _subspace(scenario)
+        *controls, drift = _generators(model, scenario.colors, sub)
+        controls = [k + k.conj().T for k in controls]
+    else:
+        model, colors, closed = TRAFFIC[name]
+        sub = closed_subspace(model, colors) if closed else range(model.basis.dimension)
+        idx = np.ix_(sub, sub)
+        drift, controls = build_drift(model)[idx], [build_control(model, c)[idx] for c in colors]
+    sectors, grades = _grading([drift, *controls])
+    parity = model.basis.spin_parity(sub)
+    assert [s.tolist() for s in sectors] == [np.flatnonzero(parity == k).tolist() for k in (0, 1)]
+    assert grades == [0] + [1] * len(controls)

@@ -153,6 +153,21 @@ class TestBuildControl:
                     else:
                         assert dn == -shift[sideband]
 
+    @pytest.mark.parametrize("ldl", [False, True])
+    def test_negative_mode_weight_negates_its_ions_sidebands(self, ldl):
+        # <n+dn| exp(i eta w (a + a_dag)) |n> carries sign(w)^|dn|: in the
+        # stretch mode ion 1's blue and red couplings change sign, its carrier not
+        com = two_ion(0.3, 5, ldl=ldl)
+        stretch = SystemModel(TrapConfig(1.0, 0.3, (1.0, -1.0)), com.ions, com.basis, ldl)
+        for sideband in ("carrier", "blue", "red"):
+            for n in range(1, 4):
+                for ion in (0, 1):
+                    color = FieldColor(ion, sideband)
+                    value = coupling_strength(com, color, n)
+                    assert value != 0
+                    flipped = ion == 1 and sideband != "carrier"
+                    assert coupling_strength(stretch, color, n) == (-value if flipped else value)
+
     def test_blue_edge_severed_at_zero(self):
         model = one_ion(np.sqrt(ROOT_BLUE), 10)
         h = build_control(model, FieldColor(0, "blue"))
