@@ -33,13 +33,7 @@ from .graph import (
     connected_components,
     is_transitively_connected,
 )
-from .liealg import (
-    DegenerateGroup,
-    LieAlgebraResult,
-    controllability_verdict,
-    degeneracy_report,
-    dynamical_lie_algebra,
-)
+from .liealg import LieAlgebraResult, controllability_verdict, dynamical_lie_algebra
 from .dynamics import (
     BchDefectResult,
     PulseSchedule,

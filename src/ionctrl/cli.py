@@ -26,11 +26,11 @@ import numpy as np
 from . import __version__
 from .csvio import write_csv
 from .dynamics import law_eberly_sequence, leakage, propagate, subspace_population
-from .fock import BasisState, SPIN_DOWN, _manifold
+from .fock import BasisState, SPIN_DOWN
 from .graph import build_graph, closed_subspace
 from .laguerre import laguerre_curve, laguerre_zeros
 from .liealg import SweepTooLargeError, _sweep_cap, controllability_verdict, dynamical_lie_algebra
-from .model import _generators
+from .model import _generators, _rungs
 from .optimize import Objective, SearchConfig, optimize, spin_fidelity, state_fidelity
 from .scenario import (
     Scenario,
@@ -108,7 +108,8 @@ def run_matelem(scenario: Scenario) -> list[tuple]:
     eta = model.effective_eta(0)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            diagonals = [_manifold(dn, eta, max_n + 1 - dn) for dn in range(max_n + 1)]
+            # ion 0's own elements, with the sign of its mode weight
+            diagonals = [_rungs(model, 0, dn, max_n + 1 - dn) for dn in range(max_n + 1)]
     except OverflowError:  # eta**dn
         diagonals = None
     if diagonals is None or not all(np.isfinite(d).all() for d in diagonals):

@@ -17,16 +17,12 @@ from functools import cached_property
 import numpy as np
 
 from .graph import _traverse
-from .model import PHONON_SHIFT, SIDEBANDS, SystemModel, _rungs
 
 __all__ = [
     "LieAlgebraResult",
     "SweepTooLargeError",
     "dynamical_lie_algebra",
     "controllability_verdict",
-    "TransitionCoupling",
-    "DegenerateGroup",
-    "degeneracy_report",
 ]
 
 # peak memory a sweep may allocate, as counted by _sweep_bytes
@@ -123,8 +119,9 @@ def _grading(mats: list) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
     their depth in a walk along every off-diagonal link (`graph._traverse`);
     where every link then crosses between the colours, a generator with no
     nonzero diagonal is odd and one with no nonzero off-diagonal entry (a
-    diagonal drift) even.  Any other generator set runs as one sector,
-    every generator even."""
+    diagonal drift) even.  A state with no link joins the smaller sector,
+    sector 0 on a tie, in index order.  Any other generator set runs as
+    one sector, every generator even."""
     d = len(mats[0])
     links = np.array([m != 0 for m in mats])
     diagonal = links[:, range(d), range(d)].any(axis=1)
@@ -132,6 +129,11 @@ def _grading(mats: list) -> tuple[tuple[np.ndarray, np.ndarray], list[int]]:
     joined = links.any(axis=0)
     joined |= joined.T
     colour = np.array(_traverse([np.flatnonzero(row).tolist() for row in joined])[1])
+    lone = ~joined.any(axis=1)
+    sizes = np.bincount(colour[~lone], minlength=2)
+    for i in np.flatnonzero(lone):
+        colour[i] = sizes[1] < sizes[0]
+        sizes[colour[i]] += 1
     if (diagonal & links.any(axis=(1, 2))).any() or (joined & (colour[:, None] == colour)).any():
         return (np.arange(d), np.arange(0)), [0] * len(mats)
     return (np.flatnonzero(colour == 0), np.flatnonzero(colour == 1)), [int(not g) for g in diagonal]
@@ -423,73 +425,3 @@ def controllability_verdict(result: LieAlgebraResult, space_dim: int) -> str:
     if result.dimension >= space_dim * space_dim - 1:
         return "controllable"
     return "uncontrollable"
-
-
-@dataclass(frozen=True)
-class TransitionCoupling:
-    ion: int
-    sideband: str
-    n_from: int
-    n_to: int
-    magnitude: float
-
-
-@dataclass(frozen=True)
-class DegenerateGroup:
-    color_index: int
-    frequency: float
-    transitions: tuple[TransitionCoupling, ...]
-    distinguishable: bool
-
-
-def degeneracy_report(
-    model: SystemModel,
-    colors,
-    tol: float = 1e-9,
-) -> list[DegenerateGroup]:
-    """Transitions driven at one resonance frequency, per color.
-
-    Individually addressed colors drive only their target ion; under
-    uniform illumination every ion whose transition frequency matches
-    the field is driven.  A degenerate group is distinguishable iff its
-    coupling magnitudes are pairwise unequal beyond `tol`: equal-strength
-    degenerate transitions cannot be steered apart by that color.
-    """
-    omega_m = model.trap.mode_freq
-    report = []
-    for ci, color in enumerate(colors):
-        model.check_color(color)
-        freq = model.ions[color.target_ion].qubit_splitting + PHONON_SHIFT[color.sideband] * omega_m
-        transitions = []
-        for ion_index, ion in enumerate(model.ions):
-            if model.ions[color.target_ion].individually_addressable and ion_index != color.target_ion:
-                continue
-            for sideband in SIDEBANDS:
-                shift = PHONON_SHIFT[sideband]
-                if abs(ion.qubit_splitting + shift * omega_m - freq) > 1e-9:
-                    continue
-                size = np.abs(_rungs(model, ion_index, shift, model.basis.fock_cutoff - abs(shift)))
-                for n_lo in np.flatnonzero(~(size < 1e-12)):
-                    n = int(n_lo) - min(shift, 0)
-                    transitions.append(
-                        TransitionCoupling(
-                            ion=ion_index,
-                            sideband=sideband,
-                            n_from=n,
-                            n_to=n + shift,
-                            magnitude=float(size[n_lo]),
-                        )
-                    )
-        mags = [t.magnitude for t in transitions]
-        distinguishable = all(
-            abs(mags[i] - mags[j]) > tol for i in range(len(mags)) for j in range(i + 1, len(mags))
-        )
-        report.append(
-            DegenerateGroup(
-                color_index=ci,
-                frequency=float(freq),
-                transitions=tuple(transitions),
-                distinguishable=distinguishable,
-            )
-        )
-    return report

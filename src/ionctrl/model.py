@@ -68,19 +68,10 @@ class TrapConfig:
 
 @dataclass(frozen=True)
 class IonConfig:
-    """One ion's qubit splitting and whether colors address it alone.  Both
-    are read only by `liealg.degeneracy_report`: every Hamiltonian built
-    here drives only each color's target ion, so an ion that is not
-    individually addressable still evolves as if it were."""
-
-    qubit_splitting: float = 1.0
-    individually_addressable: bool = True
-
-    def __post_init__(self):
-        if not 0 < self.qubit_splitting < np.inf:
-            raise ValueError(
-                f"qubit_splitting must be positive and finite, got {self.qubit_splitting}"
-            )
+    """One ion, with nothing to set: every Hamiltonian built here drives
+    only each color's target ion, on resonance, so the one modeled ion is
+    individually addressed, its qubit splitting the unit that scenarios
+    write as `splitting: 1.0`."""
 
 
 @dataclass(frozen=True)

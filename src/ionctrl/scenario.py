@@ -166,12 +166,15 @@ def _parse_model(data) -> SystemModel:
         if not isinstance(entry, dict):
             _fail(ctx, "expected a mapping")
         _check_unknown(entry, {"splitting", "addressable"}, ctx)
+        where = f"{ctx}.splitting"
         splitting = _get(entry, "splitting", float, ctx, default=1.0)
-        addressable = _get(entry, "addressable", bool, ctx, default=True)
-        try:
-            ions.append(IonConfig(qubit_splitting=splitting, individually_addressable=addressable))
-        except ValueError as exc:
-            raise ScenarioError(f"{ctx}.splitting: {exc}") from exc
+        if not splitting > 0:
+            _fail(where, f"qubit_splitting must be positive and finite, got {splitting}")
+        if splitting != 1.0:
+            _fail(where, "only the unit qubit splitting is modeled; must be 1.0")
+        if not _get(entry, "addressable", bool, ctx, default=True):
+            _fail(f"{ctx}.addressable", "only individually addressed ions are modeled; must be true")
+        ions.append(IonConfig())
 
     _check_unknown(
         data,
@@ -179,6 +182,9 @@ def _parse_model(data) -> SystemModel:
         "model",
     )
     mode_freq = _get(data, "mode_freq", float, "model", default=1.0)
+    # zero or negative keeps TrapConfig's message
+    if mode_freq > 0 and mode_freq != 1.0:
+        _fail("model.mode_freq", "only the unit mode frequency is modeled; must be 1.0")
     has_ld = "lamb_dicke" in data
     has_sq = "eta_sq" in data
     if has_ld == has_sq:
@@ -279,7 +285,9 @@ _MINIMUM = {
 
 def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> tuple[str, dict]:
     """Read one task's fields into params; the task accepts exactly the
-    keys its branch stores there."""
+    keys its branch stores there.  `matelem` refuses an LDL model, whose
+    first-order couplings have no form beyond |dn| = 1, and `optimize`'s
+    `omega_max` defaults to 0.2 mode frequencies."""
     kind = _get(data, "kind", str, "task", required=True)
     if kind not in TASKS:
         _fail("task.kind", f"must be one of {TASKS}")
@@ -298,6 +306,8 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
             data, "grid_max", float, ctx, default=float(4 * degree + 2 * order + 2)
         )
     elif kind == "matelem":
+        if scenario_model.ldl:
+            _fail("model.ldl", "matelem writes the exact displacement elements; must be false")
         params["max_n"] = _get(data, "max_n", int, ctx, default=scenario_model.basis.fock_cutoff - 1)
     elif kind == "liealg":
         if not colors:
@@ -338,9 +348,7 @@ def _parse_task(data, scenario_model: SystemModel, colors, n_segments: int) -> t
         parse_state_spec(params["initial"], scenario_model.basis, "task.initial")
         if not colors:
             _fail("colors", "optimize requires at least one color")
-        params["omega_max"] = _get(
-            data, "omega_max", float, ctx, default=0.2 * scenario_model.trap.mode_freq
-        )
+        params["omega_max"] = _get(data, "omega_max", float, ctx, default=0.2)
         params["t_max"] = _get(data, "t_max", float, ctx, default=200.0)
         # the other search settings, their kinds and defaults are SearchConfig's
         search_fields = fields(SearchConfig)
@@ -420,13 +428,8 @@ def emit_scenario(scenario: Scenario) -> str:
         "output": scenario.output,
         "threshold": scenario.threshold,
         "model": {
-            "ions": [
-                {
-                    "splitting": ion.qubit_splitting,
-                    "addressable": ion.individually_addressable,
-                }
-                for ion in model.ions
-            ],
+            # every ion is the one modeled; the keys stay so scenario hashes do not move
+            "ions": [{"splitting": 1.0, "addressable": True} for _ in model.ions],
             "mode_freq": model.trap.mode_freq,
             "lamb_dicke": model.trap.lamb_dicke,
             "mode_weights": list(model.trap.mode_weights),

@@ -527,6 +527,39 @@ task: {kind: graph}
             "model.ions[0].splitting",
         ),
         (
+            # only the unit splitting, individually addressed ions and the unit
+            # mode frequency are modeled, and matelem has no LDL form
+            """
+model: {ions: [{splitting: 2.0}], lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: graph}
+""",
+            "model.ions[0].splitting",
+        ),
+        (
+            """
+model: {ions: [{}, {addressable: false}], lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: liealg}
+""",
+            "model.ions[1].addressable",
+        ),
+        (
+            """
+model: {ions: 1, mode_freq: 2.0, lamb_dicke: 0.1, cutoff: 4}
+colors: [{ion: 0, sideband: carrier}]
+task: {kind: optimize, generations: 1}
+""",
+            "model.mode_freq",
+        ),
+        (
+            """
+model: {ions: 1, lamb_dicke: 0.1, cutoff: 4, ldl: true}
+task: {kind: matelem}
+""",
+            "model.ldl",
+        ),
+        (
             """
 model: {ions: 2, lamb_dicke: 0.1, cutoff: 4}
 task: {kind: laweberly, target: [["dd", 0, 1.0, 0.0]]}
@@ -673,6 +706,10 @@ task: {kind: optimize, generations: 1}
         "zero_generations",
         "nonzero_detuning",
         "negative_splitting",
+        "non_unit_splitting",
+        "not_addressable",
+        "non_unit_mode_freq",
+        "matelem_ldl",
         "two_ion_laweberly",
         "matelem_max_n_rows",
         "matelem_default_max_n_rows",

@@ -1,8 +1,7 @@
 """Every ladder coupling the package computes from its manifold kernel
 equals, bit for bit, the scalar closed form of `coupling_reference`: the
 Laguerre values, the displacement elements, the raising index maps, the
-pair couplings, the LDL couplings, the matelem rows and the degeneracy
-report.  Values are compared as uint64 words, so signed zeros count."""
+pair couplings, the LDL couplings and the matelem rows.  Values are compared as uint64 words, so signed zeros count."""
 
 from functools import lru_cache
 
@@ -17,7 +16,6 @@ from ionctrl import (
     TrapConfig,
     TruncatedBasis,
     coupling_strength,
-    degeneracy_report,
     displacement_element,
     laguerre,
     laguerre_zeros,
@@ -38,10 +36,10 @@ def reference_block(eta):
     return np.array([[ref.element(i, j, eta) for j in range(60)] for i in range(60)])
 
 
-def make_model(ions, eta, cutoff, ldl, addressable=True):
+def make_model(ions, eta, cutoff, ldl):
     return SystemModel(
         trap=TrapConfig(mode_freq=1.0, lamb_dicke=eta, mode_weights=(1.0,) * ions),
-        ions=(IonConfig(individually_addressable=addressable),) * ions,
+        ions=(IonConfig(),) * ions,
         basis=TruncatedBasis(ion_count=ions, fock_cutoff=cutoff),
         ldl=ldl,
     )
@@ -122,23 +120,3 @@ def test_matelem_rows(eta):
     want = [(e.real, e.imag, abs(e)) for e in reference_block(eta).ravel().tolist()]
     assert ref.bits(got).tolist() == ref.bits(want).tolist()
 
-
-@pytest.mark.parametrize("ldl", [False, True])
-def test_degeneracy_report_magnitudes(ldl):
-    """Two uniformly illuminated ions: each color drives both ions."""
-    cutoff = 12
-    colors = [FieldColor(0, "carrier"), FieldColor(0, "blue")]
-    for eta in ETAS:
-        model = make_model(2, eta, cutoff, ldl, addressable=False)
-        report = degeneracy_report(model, colors)
-        for group, color in zip(report, colors):
-            dn = PHONON_SHIFT[color.sideband]
-            expected = [
-                (ion, color.sideband, n, n + dn, abs(ref.pair_coupling(ldl, eta, n, dn)))
-                for ion in (0, 1)
-                for n in range(cutoff)
-                if 0 <= n + dn < cutoff and not abs(ref.pair_coupling(ldl, eta, n, dn)) < 1e-12
-            ]
-            got = [(t.ion, t.sideband, t.n_from, t.n_to, t.magnitude) for t in group.transitions]
-            assert [g[:4] for g in got] == [e[:4] for e in expected]
-            assert ref.bits([g[4] for g in got]).tolist() == ref.bits([e[4] for e in expected]).tolist()

@@ -4,7 +4,8 @@ imports a name it never uses, every private module-level name
 is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
 non-resonant paths, the raising index maps have four readers, the
-Laguerre recurrence is written once, one walk serves every state graph,
+Laguerre recurrence is written once, the manifold kernel has two readers,
+one walk serves every state graph,
 couplings are taken a manifold at a time, YAML is read and written only
 by the scenario parser and emitter, and the command line writes files in
 one place."""
@@ -185,6 +186,14 @@ def test_laguerre_ladder_has_two_readers():
     """`laguerre._ladder` (the one upward recurrence) is read only by
     `laguerre` and the displacement kernel of a whole manifold."""
     assert function_users("_ladder") == {"laguerre.laguerre", "fock._manifold"}
+
+
+def test_manifold_kernel_has_two_readers():
+    """`fock._manifold` (the displacement elements of one manifold) is read
+    only by `model._rungs`, which applies the mode weight's sign, and the
+    one-element `displacement_element`: every coupling of a model, the
+    `matelem` table's among them, carries that sign from one place."""
+    assert function_users("_manifold") == {"model._rungs", "fock.displacement_element"}
 
 
 def test_state_graph_walk_has_two_readers():

@@ -14,14 +14,12 @@ from ionctrl import (
     build_drift,
     closed_subspace,
     controllability_verdict,
-    degeneracy_report,
     dynamical_lie_algebra,
     laguerre_zeros,
 )
 from ionctrl.liealg import _grading, _real_coordinates, _sweep_bytes
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
-ROOT_CARRIER4 = laguerre_zeros(4, 0)[0]
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -363,47 +361,6 @@ class TestVerdict:
 
 
 class TestDegeneracyReport:
-    def test_beyond_ldl_carrier_distinguishable(self):
-        model = SystemModel(
-            trap=TrapConfig(1.0, np.sqrt(ROOT_CARRIER4)),
-            ions=(IonConfig(),),
-            basis=TruncatedBasis(1, 8),
-        )
-        (group,) = degeneracy_report(model, [FieldColor(0, "carrier")])
-        assert group.distinguishable
-        assert len(group.transitions) > 1
-
-    def test_ldl_carrier_not_distinguishable(self):
-        model = SystemModel(
-            trap=TrapConfig(1.0, 0.1),
-            ions=(IonConfig(),),
-            basis=TruncatedBasis(1, 6),
-            ldl=True,
-        )
-        (group,) = degeneracy_report(model, [FieldColor(0, "carrier")])
-        assert not group.distinguishable
-        assert all(t.magnitude == pytest.approx(1.0) for t in group.transitions)
-
-    def test_uniform_illumination_resolved_by_addressing(self):
-        def model_with(addressable):
-            return SystemModel(
-                trap=TrapConfig(1.0, 0.3, (1.0, 1.0)),
-                ions=(
-                    IonConfig(individually_addressable=addressable),
-                    IonConfig(individually_addressable=addressable),
-                ),
-                basis=TruncatedBasis(2, 5),
-            )
-
-        (uniform,) = degeneracy_report(model_with(False), [FieldColor(0, "carrier")])
-        ions_driven = {t.ion for t in uniform.transitions}
-        assert ions_driven == {0, 1}
-        assert not uniform.distinguishable  # equal strengths on both ions
-
-        (addressed,) = degeneracy_report(model_with(True), [FieldColor(0, "carrier")])
-        assert {t.ion for t in addressed.transitions} == {0}
-        assert addressed.distinguishable
-
     def test_two_ion_truncated_model_controllable(self):
         model = SystemModel(
             trap=TrapConfig(1.0, np.sqrt(ROOT_BLUE), (1.0, 1.0)),

@@ -3,7 +3,8 @@ and its results on graded generator sets against the all-pairs reference.
 
 Each drawn set is homogeneous under a random 0/1 labelling of the states:
 a diagonal drift, odd controls coupling only states of different labels,
-and even controls coupling only states of one label.  The sweep must
+and diagonal even controls (an even coupling inside one label runs as
+one sector, which `test_liealg_properties` covers).  The sweep must
 report the reference's history, dimension and saturation, and every
 element it returns must be even or odd under the parity it inferred.
 """
@@ -40,12 +41,12 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples
 def graded_sets(draw):
     d = draw(st.sampled_from([2, 3, 4, 5, 6, 6]))
     label = draw(st.lists(st.integers(0, 1), min_size=d, max_size=d))
-    diag = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=d, max_size=d))
-    mats = [np.diag(diag).astype(complex)]
-    for odd in [True] * draw(st.integers(1, 3)) + [False] * draw(st.integers(0, 2)):
-        pairs = [(j, k) for j in range(d) for k in range(d) if (label[j] != label[k]) == odd]
-        if not pairs:
-            continue
+    diagonals = st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]), min_size=d, max_size=d)
+    mats = [np.diag(draw(diagonals)).astype(complex)]
+    for _ in range(draw(st.integers(0, 2))):
+        mats.append(np.diag(draw(diagonals)).astype(complex))
+    pairs = [(j, k) for j in range(d) for k in range(d) if label[j] != label[k]]
+    for _ in range(draw(st.integers(1, 3)) if pairs else 0):
         h = np.zeros((d, d), dtype=complex)
         entries = st.tuples(st.sampled_from(pairs), st.sampled_from(ENTRIES))
         for (j, k), v in draw(st.lists(entries, min_size=1, max_size=2 * d)):
@@ -191,3 +192,17 @@ def test_program_traffic_is_graded_by_spin_parity(name):
     parity = model.basis.spin_parity(sub)
     assert [s.tolist() for s in sectors] == [np.flatnonzero(parity == k).tolist() for k in (0, 1)]
     assert grades == [0] + [1] * len(controls)
+
+
+def test_unlinked_states_join_the_smaller_sector():
+    # blue alone at cutoff 6 links |d,n> to |u,n+1> for n < 5; |d,5> and |u,0>
+    # have no link, and one joins each sector: the spin-parity split that
+    # `cli.run_liealg`'s pre-check sizes its guard by, not 7 and 5
+    model = one_ion(0.3, 6)
+    mats = [build_drift(model), build_control(model, FieldColor(0, "blue"))]
+    sectors, grades = _grading(mats)
+    assert [s.tolist() for s in sectors] == [list(range(6)), list(range(6, 12))]
+    assert grades == [0, 1]
+    result = dynamical_lie_algebra(mats[0], mats[1:])
+    scale = max(np.linalg.norm(m) for m in mats)
+    assert (result.history, result.dimension, result.saturated) == reference_sweep(mats, 1e-8 * scale, None)

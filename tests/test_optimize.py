@@ -170,7 +170,6 @@ def _state(second=0.0):
         lambda: TrapConfig(np.nan, 0.1),
         lambda: TrapConfig(1.0, np.nan),
         lambda: TrapConfig(1.0, 0.1, mode_weights=(np.nan,)),
-        lambda: IonConfig(qubit_splitting=np.nan),
         lambda: Segment((FieldColor(0, "carrier"),), np.inf),
         lambda: Objective("spin_fidelity", np.array([1.0, 0.0]), _state(), purity_floor=np.nan),
     ],
@@ -189,7 +188,6 @@ def _state(second=0.0):
         "trap_mode_freq",
         "trap_lamb_dicke",
         "trap_mode_weights",
-        "ion_qubit_splitting",
         "segment_duration_inf",
         "objective_purity_floor",
     ],

@@ -182,8 +182,8 @@ ROUND_TRIP_DOCS = [
     """
 model:
   ions:
-    - {splitting: 2.0, addressable: false}
-    - {splitting: 2.0, addressable: false}
+    - {splitting: 1.0, addressable: true}
+    - {splitting: 1.0, addressable: true}
   eta_sq: 0.527667
   mode_weights: [1.0, -1.0]
   cutoff: 12

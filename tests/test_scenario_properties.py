@@ -60,17 +60,19 @@ def documents(draw, kind):
         ions = []
         for _ in range(ion_count):
             ion = {}
-            draw(optional(ion, "splitting", floats(0.01, 10.0)))
-            draw(optional(ion, "addressable", st.booleans()))
+            # the one modeled ion and mode frequency; other values are refused
+            draw(optional(ion, "splitting", st.just(1.0)))
+            draw(optional(ion, "addressable", st.just(True)))
             ions.append(ion)
         model["ions"] = ions
-    draw(optional(model, "mode_freq", floats(0.01, 10.0)))
+    draw(optional(model, "mode_freq", st.just(1.0)))
     eta_key = draw(st.sampled_from(["lamb_dicke", "eta_sq"]))
     model[eta_key] = draw(floats(0.0, 1.0))
     weight = draw(floats(-2.0, 2.0).filter(lambda w: w != 0.0))
     signs = draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=ion_count, max_size=ion_count))
     draw(optional(model, "mode_weights", st.just([s * weight for s in signs])))
-    draw(optional(model, "ldl", st.booleans()))
+    # matelem writes the exact elements alone
+    draw(optional(model, "ldl", st.just(False) if kind == "matelem" else st.booleans()))
 
     colors = []
     min_colors = 1 if kind in ("optimize", "liealg") else 0
