@@ -75,6 +75,11 @@ def _subspace(scenario: Scenario) -> list[int]:
     if scenario.task_params["subspace"] == "full":
         return list(range(scenario.model.basis.dimension))
     sub = closed_subspace(scenario.model, list(scenario.colors), threshold=scenario.threshold)
+    if sub is None and scenario.model.ldl:
+        raise ScenarioError(
+            "model.ldl: no finite closed subspace, since the Lamb-Dicke-limit coupling"
+            " eta*sqrt(n) of a sideband vanishes at no rung; use ldl: false or subspace: full"
+        )
     if sub is None:
         raise ScenarioError("task.subspace: no finite closed subspace at this Lamb-Dicke parameter")
     return sub
@@ -239,6 +244,11 @@ def run_optimize(scenario: Scenario) -> list[tuple]:
         )
     search = SearchConfig(**{f.name: p[f.name] for f in fields(SearchConfig)})
     best, score, history = optimize(model, scenario.colors, objective, search, seed=scenario.seed)
+    if not np.isfinite(score):
+        raise ScenarioError(
+            "task.omega_max: no candidate's final state was finite and normalized;"
+            " lower omega_max or t_max"
+        )
 
     schedule = best.to_schedule(scenario.colors)
     final = propagate(model, schedule, initial).final

@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import PulseSchedule, Segment, _check_normalized, _parity_blocks, _parity_propagate
+from .graph import build_graph, connected_components
 from .model import SystemModel
 
 __all__ = [
@@ -193,29 +194,83 @@ def _vector_to_params(x: np.ndarray, n_seg: int, n_colors: int) -> PulseParams:
     )
 
 
-# Bytes of one stacked (rows, d/2, d/2) block the population scorer holds
-# at a time; its SVD factors and workspace take about three times as much
-# again.  Larger populations are scored in row chunks.
+# Bytes of one stacked (rows, k/2, k/2) block the population scorer holds
+# at a time, k the states it propagates; its SVD factors and workspace take
+# about three times as much again.  Larger populations are scored in row chunks.
 _CHUNK_BYTES = 64 * 2**20
 
+# Largest 2-norm by which cutting the initial state's component loose may
+# move any final state the search scores.
+_CUT_TOL = 1e-13
 
-def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: int):
-    """Score function of (P, 2*S*C + 1) parameter matrices: per-segment
-    amplitudes and phases for each color, then the total duration.  Rows
-    go through `_parity_propagate` in chunks that fit _CHUNK_BYTES, on
-    parity-block entries gathered once; a row whose final state is not
-    finite and normalized scores -inf with a warning."""
+
+def _component_blocks(model: SystemModel, colors, initial: np.ndarray, max_area: float):
+    """`_parity_blocks` of the colors, restricted to the union of the
+    coupling-graph components that hold the initial state's support, and
+    the ascending basis indices of that union.
+
+    The graph keeps the unit-Rabi couplings above _CUT_TOL / max_area.  The
+    entries that cross out of the union are dropped only if the Duhamel
+    bound max_area * ||dB||_F <= _CUT_TOL holds, dB the cut entries summed
+    by magnitude per position: then no pulse of amplitudes up to omega_max
+    and total duration up to t_max, max_area = omega_max * t_max, moves a
+    final state by more than _CUT_TOL.  Where the bound fails, the
+    threshold leaves double range, the union is the whole basis, or its
+    even and odd sectors differ in size (the propagator's blocks are
+    square), the whole basis's blocks come back."""
     sectors = _parity_blocks(model, colors)
+    whole = sectors, np.arange(model.basis.dimension)
+    threshold = _CUT_TOL / max_area
+    if not 0 < threshold < np.inf:
+        return whole
+    support = set(np.flatnonzero(initial).tolist())
+    graph = build_graph(model, list(colors), threshold=threshold)
+    states = sorted(set().union(*(c for c in connected_components(graph) if c & support)))
+    inside = np.zeros(model.basis.dimension, dtype=bool)
+    inside[states] = True
+    even, odd, flat, column, value = sectors
+    row, col = np.divmod(flat, len(odd))
+    in_even, in_odd = inside[even], inside[odd]
+    cut = in_even[row] != in_odd[col]
+    cut_norm = np.linalg.norm(np.bincount(flat[cut], np.abs(value[cut])))
+    square = np.count_nonzero(in_even) == np.count_nonzero(in_odd)
+    if inside.all() or not square or not max_area * cut_norm <= _CUT_TOL:
+        return whole
+    kept = in_even[row] & in_odd[col]
+    # positions within the union's own even and odd sectors, and its basis indices
+    pos_even, pos_odd = np.cumsum(in_even) - 1, np.cumsum(in_odd) - 1
+    index = np.cumsum(inside) - 1
+    sub_flat = pos_even[row[kept]] * np.count_nonzero(in_odd) + pos_odd[col[kept]]
+    sub = (index[even[in_even]], index[odd[in_odd]], sub_flat, column[kept], value[kept])
+    return sub, np.array(states)
+
+
+def _population_scorer(
+    model: SystemModel, colors, objective: Objective, n_seg: int, max_area: float
+):
+    """Score function of (P, 2*S*C + 1) parameter matrices: per-segment
+    amplitudes and phases for each color, then the total duration, with
+    every amplitude times the duration at most max_area.
+
+    Rows are propagated on the closed component of the initial state that
+    `_component_blocks` finds (the whole basis where it cuts nothing), so
+    each final state is within 1e-13 of the whole basis's, and scattered
+    back to the basis before scoring.  They go through `_parity_propagate`
+    in chunks that fit _CHUNK_BYTES, on parity-block entries gathered once;
+    a row whose final state is not finite and normalized scores -inf with
+    a warning."""
     initial = np.asarray(objective.initial, dtype=complex)
+    sectors, states = _component_blocks(model, colors, initial, max_area)
+    d = model.basis.dimension
     block = n_seg * len(colors)
-    rows = max(1, _CHUNK_BYTES // (4 * model.basis.dimension**2))
+    rows = max(1, _CHUNK_BYTES // (4 * len(states) ** 2))
 
     def score(x: np.ndarray) -> np.ndarray:
         if len(x) > rows:
             return np.concatenate([score(x[i : i + rows]) for i in range(0, len(x), rows)])
         amp = (x[:, :block] * np.exp(1j * x[:, block : 2 * block])).reshape(-1, n_seg, len(colors))
         try:
-            psi = _parity_propagate(*sectors, amp, x[:, -1, None] / n_seg, initial)[:, -1]
+            psi = _parity_propagate(*sectors, amp, x[:, -1, None] / n_seg, initial[states])[:, -1]
         except np.linalg.LinAlgError as exc:
             if len(x) > 1:
                 return np.concatenate([score(row[None]) for row in x])
@@ -226,7 +281,10 @@ def _population_scorer(model: SystemModel, colors, objective: Objective, n_seg: 
         for value in norm[~kept]:
             log.warning("discarding candidate: final state is not normalized (norm %s)", value)
         scores = np.full(len(x), -np.inf)
-        scores[kept] = objective._scores(psi[kept], model.basis)
+        if kept.any():  # an empty stack has no spin blocks to reshape
+            final = np.zeros((np.count_nonzero(kept), d), dtype=complex)
+            final[:, states] = psi[kept]
+            scores[kept] = objective._scores(final, model.basis)
         return scores
 
     return score
@@ -247,6 +305,13 @@ def optimize(
     with a per-bound scaled step that decays generation by generation;
     after `restart_after` stagnant generations everything but the best
     candidate is reseeded and the mutation scale reset.
+
+    Candidates are propagated on the closed component of the initial
+    state's support (`_component_blocks`): couplings out of it are cut
+    only where no pulse in the search box can move a final state by more
+    than 1e-13, and the whole basis is used otherwise.  A candidate whose
+    final state is not finite scores -inf; where all do, the returned
+    score is -inf.
     """
     colors = tuple(colors)
     if not colors:
@@ -273,7 +338,7 @@ def optimize(
     def sample(rows: int) -> np.ndarray:
         return lower + span * rng.random((rows, dim))
 
-    evaluate = _population_scorer(model, colors, objective, n_seg)
+    evaluate = _population_scorer(model, colors, objective, n_seg, search.omega_max * search.t_max)
     population = sample(search.population)
     scores = evaluate(population)
 

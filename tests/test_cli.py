@@ -758,6 +758,57 @@ output: {tmp_path}/e
     assert list(tmp_path.glob("e_*")) == []
 
 
+def test_ldl_closed_subspace_exits_2_naming_ldl(tmp_path, capsys):
+    # eta*sqrt(n) vanishes at no rung, so no Lamb-Dicke parameter closes the ladder
+    scn = write(
+        tmp_path,
+        "ldl.yaml",
+        f"""
+model: {{ions: 1, eta_sq: 0.5276681217111285, cutoff: 12, ldl: true}}
+colors: [{{ion: 0, sideband: carrier}}, {{ion: 0, sideband: blue}}]
+schedule: {{segments: [{{colors: [0, 1], duration: 1.0}}]}}
+task: {{kind: evolve, subspace: closed}}
+output: {tmp_path}/e
+""",
+    )
+    assert main(["run", str(scn)]) == 2
+    assert capsys.readouterr().err.startswith("error: model.ldl:")
+    assert list(tmp_path.glob("e_*")) == []
+
+
+@pytest.mark.parametrize(
+    "mutation, code",
+    [("", 0), (", mutation_scale: 0.0, mutation_floor: 0.0", 2)],
+    ids=["some_clipped_to_zero", "all_discarded"],
+)
+def test_search_past_double_range_keeps_its_finite_best_or_exits_2(
+    tmp_path, capsys, mutation, code
+):
+    """Pulse areas past double range leave no finite final state, so such
+    candidates score -inf, and a stack of them alone is not scored.  A child
+    whose amplitude is clipped to 0 keeps |dd,0>, which scores 0.5; where no
+    child moves, every candidate is discarded and the run is refused."""
+    scn = write(
+        tmp_path,
+        "huge.yaml",
+        f"""
+model: {{ions: 2, lamb_dicke: 0.3, cutoff: 4}}
+colors: [{{ion: 0, sideband: carrier}}]
+task: {{kind: optimize, omega_max: 1.0e+300, t_max: 1.0e+300, generations: 3{mutation}}}
+output: {tmp_path}/o
+""",
+    )
+    assert main(["run", str(scn)]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        header, rows = read_rows(tmp_path / "o_optlog.csv")
+        assert float(rows[-1][header.index("best_score")]) == 0.5
+    else:
+        assert err.startswith("error: task.omega_max:")
+        assert "t_max" in err
+        assert list(tmp_path.glob("o_*")) == []
+
+
 @pytest.mark.parametrize("override, field", [(True, "--out"), (False, "output")])
 def test_unwritable_output_exits_2_naming_field(tmp_path, capsys, override, field):
     """An output path under a regular file cannot be written; the error

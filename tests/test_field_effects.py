@@ -25,11 +25,6 @@ from ionctrl.scenario import TASKS, emit_scenario, parse_scenario
 CHANGES, REFUSED, NO_OP = "changes", "refused", "no-op"
 
 
-def refused_as(field):
-    """Refused, naming another field."""
-    return (REFUSED, field)
-
-
 # eta^2 at which the blue rung |d,6> -> |u,7> vanishes, and |d,5> -> |u,6>
 BLUE_6 = float(laguerre_zeros(6, 1)[0])
 BLUE_5 = float(laguerre_zeros(5, 1)[0])
@@ -190,7 +185,7 @@ EFFECTS = {
         "model.lamb_dicke": CHANGES,
         "model.mode_weights": NO_OP,  # a sign changes no span
         "model.cutoff": NO_OP,  # the closed subspace fits either cutoff
-        "model.ldl": refused_as("task.subspace"),  # no LDL coupling vanishes
+        "model.ldl": REFUSED,  # no LDL coupling vanishes, so nothing closes
         "colors[].ion": REFUSED,  # one ion
         "colors[].sideband": CHANGES,
         "colors[].rabi": NO_OP,  # generators are taken at unit Rabi
@@ -329,9 +324,9 @@ def test_each_field_changes_an_output_or_is_refused_or_documented(kind, tmp_path
         if code == 0:
             seen = CHANGES if outputs != base else NO_OP
         else:
-            refused = expect == REFUSED or isinstance(expect, tuple)
-            named = expect[1] if isinstance(expect, tuple) else path.replace("[]", "[0]")
-            seen = expect if refused and code == 2 and err.startswith(f"error: {named}") else (code, err)
+            named = path.replace("[]", "[0]")
+            refused = expect == REFUSED and code == 2 and err.startswith(f"error: {named}")
+            seen = expect if refused else (code, err)
         if seen != expect:
             wrong.append((path, expect, seen))
     assert wrong == []

@@ -5,7 +5,8 @@ is used somewhere in the package, each matrix decomposition has one
 call site, the eigendecomposition exponential serves only the
 non-resonant paths, the raising index maps have four readers, the
 Laguerre recurrence is written once, the manifold kernel has two readers,
-one walk serves every state graph,
+one walk serves every state graph, the search's closed component comes
+from that walk,
 couplings are taken a manifold at a time, YAML is read and written only
 by the scenario parser and emitter, and the command line writes files in
 one place."""
@@ -200,6 +201,15 @@ def test_state_graph_walk_has_two_readers():
     """`graph._traverse` (the one walk over a state graph) is referenced
     only by the coupling graph's components and the Lie sweep's grading."""
     assert function_users("_traverse") == {"graph.connected_components", "liealg._grading"}
+
+
+def test_search_component_comes_from_the_graph_walk():
+    """The search scores on the components `graph.connected_components`
+    finds: `optimize._component_blocks` reads them, and `optimize` has no
+    `while` loop, the shape a second walk over the states would take."""
+    users = {f for f in function_users("connected_components") if f.startswith("optimize.")}
+    assert users == {"optimize._component_blocks"}
+    assert [n.lineno for n in ast.walk(parse("optimize")) if isinstance(n, ast.While)] == []
 
 
 def test_no_per_element_coupling_calls():

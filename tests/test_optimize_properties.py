@@ -4,7 +4,10 @@ Over one- and two-ion LDL and exact models, carrier/blue/red colors,
 1-8 segments, state and spin objectives and random initial states: the
 stacked parity-block scorer gives every candidate the score that the dense
 exponential of each segment Hamiltonian and `Objective.score` give it one
-by one.  Over population, elite, segment and color counts that force
+by one.  At and near the Laguerre zeros that cut a ladder, the scorer's
+closed component of the initial state scores every candidate within 1e-12
+of the whole basis, and bit for bit as the uncut scorer where it cuts
+nothing.  Over population, elite, segment and color counts that force
 restarts, the search's array breeding returns exactly what the
 one-child-at-a-time reference loop returns.
 """
@@ -27,12 +30,15 @@ from ionctrl import (
     SystemModel,
     TrapConfig,
     TruncatedBasis,
+    build_graph,
+    connected_components,
     control_raising,
+    laguerre_zeros,
     optimize,
     propagate,
 )
 from ionctrl.fock import _evolve
-from ionctrl.optimize import _population_scorer, _vector_to_params
+from ionctrl.optimize import _component_blocks, _population_scorer, _vector_to_params
 
 # the package's `optimize` attribute is the search function, not this module
 optimize_module = importlib.import_module("ionctrl.optimize")
@@ -95,9 +101,111 @@ def one_by_one(model, colors, objective, n_seg, x):
 @given(problem=problems())
 def test_population_scores_match_one_by_one_propagation(problem):
     model, colors, objective, n_seg, x = problem
-    scores = _population_scorer(model, colors, objective, n_seg)(x)
+    # amplitudes below 1, durations below 20.1
+    scores = _population_scorer(model, colors, objective, n_seg, 20.1)(x)
     expected = [one_by_one(model, colors, objective, n_seg, row) for row in x]
     assert np.max(np.abs(scores - expected)) <= 1e-12
+
+
+@st.composite
+def cut_problems(draw):
+    """A model at or near a zero of a carrier or first-sideband rung, its
+    colors, the search box's omega_max * t_max, an objective from a basis
+    state or a superposition across two components, and a (P, 2*S*C + 1)
+    parameter matrix inside the box."""
+    ions, cutoff = draw(st.integers(1, 2)), draw(st.integers(2, 6))
+    order = draw(st.integers(0, 1))
+    zero = draw(st.sampled_from(list(laguerre_zeros(draw(st.integers(1, cutoff - 1)), order))))
+    offset = draw(st.sampled_from([0.0, 0.0, 1e-15, -1e-14, 1e-12, -1e-9, 1e-6, -1e-4]))
+    model = SystemModel(
+        trap=TrapConfig(1.0, np.sqrt(zero * (1 + offset)), mode_weights=(1.0,) * ions),
+        ions=(IonConfig(),) * ions,
+        basis=TruncatedBasis(ions, cutoff),
+        ldl=draw(st.booleans()),
+    )
+    sidebands = st.sampled_from(["carrier", "blue", "red"])
+    color = st.builds(FieldColor, st.integers(0, ions - 1), sidebands)
+    colors = tuple(draw(st.lists(color, min_size=1, max_size=3)))
+    omega_max, t_max = draw(st.floats(0.01, 1.0)), draw(st.floats(1.0, 200.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = model.basis.dimension
+    initial = np.zeros(dim, dtype=complex)
+    start = draw(st.integers(0, dim - 1))
+    initial[start] = 1.0
+    if draw(st.booleans()):
+        graph = build_graph(model, list(colors), threshold=1e-13 / (omega_max * t_max))
+        others = [min(c) for c in connected_components(graph) if start not in c]
+        if others:
+            initial[draw(st.sampled_from(others))] = complex(*rng.standard_normal(2))
+            initial /= np.linalg.norm(initial)
+    if draw(st.booleans()):
+        objective = Objective("state_fidelity", random_state(rng, dim), initial)
+    else:
+        objective = Objective(
+            "spin_fidelity", random_state(rng, 2**ions), initial, draw(st.floats(0.0, 1.0))
+        )
+    n_seg, count = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    block = n_seg * len(colors)
+    x = np.hstack(
+        [
+            omega_max * rng.random((count, block)),
+            2 * np.pi * rng.random((count, block)),
+            t_max * rng.random((count, 1)),
+        ]
+    )
+    x[0, :block], x[0, -1] = omega_max, t_max  # the box's corner
+    return model, colors, objective, n_seg, omega_max * t_max, x
+
+
+@SETTINGS
+@given(problem=cut_problems())
+def test_component_scores_match_the_whole_basis(problem):
+    model, colors, objective, n_seg, max_area, x = problem
+    scores = _population_scorer(model, colors, objective, n_seg, max_area)(x)
+    expected = [
+        objective.score(
+            propagate(
+                model,
+                _vector_to_params(row, n_seg, len(colors)).to_schedule(colors),
+                objective.initial,
+            ).final,
+            model.basis,
+        )
+        for row in x
+    ]
+    assert np.max(np.abs(scores - expected)) <= 1e-12
+    _, states = _component_blocks(model, colors, objective.initial, max_area)
+    if len(states) == model.basis.dimension:
+        # an area past double range leaves the cut's threshold at 0: nothing is cut
+        uncut = _population_scorer(model, colors, objective, n_seg, np.inf)(x)
+        assert np.array_equal(scores, uncut)
+
+
+def test_bell_search_scores_on_the_28_state_component():
+    """At optimize_bell's L_6^1 zero the four blue couplings out of n = 6
+    compute to 6.9e-16, so its search (omega_max 0.2, t_max 200) scores on
+    the 28 states that hold |dd,0>: 14 x 14 blocks, cut under the bound
+    40 * 2 * 6.9e-16 = 5.5e-14.  A box of area 100 keeps the same graph
+    (each coupling is below 1e-13 / 100) but fails the bound (1.4e-13), so
+    it is scored on all 32 states."""
+    model = SystemModel(
+        trap=TrapConfig(1.0, np.sqrt(0.5276681217111285), mode_weights=(1.0, 1.0)),
+        ions=(IonConfig(), IonConfig()),
+        basis=TruncatedBasis(2, 8),
+    )
+    colors = (FieldColor(0, "blue"), FieldColor(1, "blue"), FieldColor(0, "carrier"))
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    objective = Objective("spin_fidelity", bell, model.basis.vector(model.basis.state(0)))
+    (even, odd, *_), states = _component_blocks(model, colors, objective.initial, 0.2 * 200)
+    assert (len(states), len(even), len(odd)) == (28, 14, 14)
+    assert len(_component_blocks(model, colors, objective.initial, 100.0)[1]) == 32
+    rng = np.random.default_rng(3)
+    x = np.hstack(
+        [0.2 * rng.random((24, 12)), 2 * np.pi * rng.random((24, 12)), 200 * rng.random((24, 1))]
+    )
+    cut = _population_scorer(model, colors, objective, 4, 0.2 * 200)(x)
+    uncut = _population_scorer(model, colors, objective, 4, np.inf)(x)
+    assert np.max(np.abs(cut - uncut)) <= 1e-12
 
 
 def bell_problem():
@@ -122,7 +230,7 @@ def test_non_finite_row_is_discarded_alone(caplog, column, tol):
     x = np.hstack(
         [0.2 * rng.random((5, 6)), 2 * np.pi * rng.random((5, 6)), 50 * rng.random((5, 1))]
     )
-    score = _population_scorer(model, colors, objective, 2)
+    score = _population_scorer(model, colors, objective, 2, 0.2 * 50)
     clean = score(x)
     x[2, column] = np.nan
     with caplog.at_level(logging.WARNING, logger="ionctrl.optimize"):
@@ -140,14 +248,14 @@ def test_population_is_scored_in_row_chunks(monkeypatch):
     x = np.hstack(
         [0.2 * rng.random((5, 6)), 2 * np.pi * rng.random((5, 6)), 50 * rng.random((5, 1))]
     )
-    whole = _population_scorer(model, colors, objective, 2)(x)
+    whole = _population_scorer(model, colors, objective, 2, 0.2 * 50)(x)
     # a budget of two (d/2 x d/2) blocks: three chunks, one SVD per chunk and segment
     half = model.basis.dimension // 2
     monkeypatch.setattr(optimize_module, "_CHUNK_BYTES", 2 * 16 * half**2)
     stacks = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda b: stacks.append(len(b)) or svd(b))
-    chunked = _population_scorer(model, colors, objective, 2)(x)
+    chunked = _population_scorer(model, colors, objective, 2, 0.2 * 50)(x)
     assert stacks == [2, 2, 2, 2, 1, 1]
     assert np.max(np.abs(chunked - whole)) <= 1e-12
 
@@ -178,7 +286,7 @@ def test_search_with_restarts_returns_the_score_of_its_pulse(kind):
     assert any(h.mutation_scale == search.mutation_scale for h in history[1:])
 
 
-def plateau_scorer(model, colors, objective, n_seg):
+def plateau_scorer(model, colors, objective, n_seg, max_area):
     """Stand-in for `_population_scorer`: a cheap deterministic score per
     row, rounded to plateaus so that searches stagnate and restart."""
     return lambda x: np.round(np.sin(x @ np.arange(1.0, x.shape[1] + 1)), 1)
@@ -263,5 +371,6 @@ def test_array_breeding_is_the_one_child_loop(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     with mock.patch.object(optimize_module, "_population_scorer", plateau_scorer):
         found = optimize(model, colors, objective, search, seed)
-    expected = reference_search(plateau_scorer(None, None, None, None), search, len(colors), seed)
+    evaluate = plateau_scorer(None, None, None, None, None)
+    expected = reference_search(evaluate, search, len(colors), seed)
     assert found == expected
