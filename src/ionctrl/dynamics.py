@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import BasisState, ConvergenceError, SPIN_DOWN, SPIN_UP, _evolve
+from .fock import BasisState, ConvergenceError, SPIN_DOWN, SPIN_UP, TruncatedBasis, _evolve
 from .model import PHONON_SHIFT, FieldColor, SystemModel, _raising, coupling_strength
 
 __all__ = [
@@ -71,10 +72,45 @@ def _check_normalized(psi: np.ndarray, what: str = "state", tol: float = 1e-8) -
     return psi
 
 
+@lru_cache(maxsize=128)
+def _phase_gauge(basis: TruncatedBasis, moves: tuple) -> np.ndarray | None:
+    """The (C + 1, d) map from C colors' phases, then 1, to the state
+    phases alpha that make their parity block real, or None; moves holds
+    each color's (target ion, phonon shift).  Cached, the array read-only.
+
+    Color c moves a basis state by m_c = (one-hot target ion, phonon shift
+    delta_c), and each of its entries is amp_c i^|delta_c| times a real
+    number (the mode weight's sign included), or the conjugate of that.
+    When the moves are linearly independent, M y = arg(amp) + |delta| pi/2
+    has a solution y for every amplitude, M the (C, ions + 1) matrix of
+    moves; then alpha = (spins, n) . y makes D_alpha_dag B D_alpha real,
+    D_alpha = diag(e^{i alpha}).  Dependent moves (three colors on one
+    ion, two ions each with two, or a repeated (ion, sideband) pair) give
+    None."""
+    ions = basis.ion_count
+    m = np.zeros((len(moves), ions + 1))
+    for c, (ion, shift) in enumerate(moves):
+        m[c, ion], m[c, ions] = 1.0, shift
+    gram = m @ m.T
+    # an integer matrix, so its determinant is 0 or at least 1 in magnitude
+    if abs(np.linalg.det(gram)) < 0.5:
+        return None
+    # y = M^T (M M^T)^-1 theta solves M y = theta; rows: the spins, then n
+    to_y = np.linalg.solve(gram, m)
+    spin_code, phonon = divmod(np.arange(basis.dimension), basis.fock_cutoff)
+    quanta = np.array([spin_code >> (ions - 1 - i) & 1 for i in range(ions)] + [phonon])
+    gauge = np.vstack([to_y, np.abs(m[:, ions]) * np.pi / 2 @ to_y]) @ quanta
+    gauge.flags.writeable = False
+    return gauge
+
+
 def _parity_blocks(model: SystemModel, colors):
-    """Even and odd spin-parity basis indices, and the colors' odd -> even
+    """Even and odd spin-parity basis indices; the colors' odd -> even
     block entries: flat (d/2, d/2) position, amplitude column (c raises
-    color c, C + c lowers it) and value at unit Rabi, conjugated if lowering."""
+    color c, C + c lowers it) and value at unit Rabi, conjugated if
+    lowering; and the colors' `_phase_gauge`, the map from their phases to
+    state phases that make the block real, None where their moves are
+    linearly dependent."""
     basis = model.basis
     parity = basis.spin_parity(np.arange(basis.dimension))
     even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
@@ -88,42 +124,81 @@ def _parity_blocks(model: SystemModel, colors):
         flat.append(np.where(up, pos[upper] * len(odd) + pos[lower], pos[lower] * len(odd) + pos[upper]))
         column.append(np.where(up, c, len(colors) + c))
         value.append(np.where(up, v, v.conj()))
-    return even, odd, np.concatenate(flat), np.concatenate(column), np.concatenate(value)
+    gauge = _phase_gauge(basis, tuple((c.target_ion, PHONON_SHIFT[c.sideband]) for c in colors))
+    return even, odd, np.concatenate(flat), np.concatenate(column), np.concatenate(value), gauge
 
 
-def _parity_propagate(even, odd, flat, column, value, amp, taus, psi) -> np.ndarray:
+def _segment_block(flat, column, value, coeff, shape, distinct) -> np.ndarray:
+    """The (P, m, n) odd -> even blocks B of one segment, scattered from the
+    `_parity_blocks` entries with the (P, 2C) amplitude columns coeff:
+    assigned when their positions are distinct, summed in entry order when
+    an (ion, sideband) pair repeats."""
+    b = np.zeros((len(coeff), shape[0] * shape[1]), dtype=complex)
+    if distinct:
+        # + 0.0 turns -0.0 into +0.0, as adding into the zeros would
+        b[:, flat] = coeff[:, column] * value + 0.0
+    else:
+        np.add.at(b, (slice(None), flat), coeff[:, column] * value)
+    return b.reshape(len(coeff), *shape)
+
+
+def _parity_propagate(even, odd, flat, column, value, gauge, amp, taus, psi) -> np.ndarray:
     """Evolve the (d,) or (P, d) states psi through S resonant segments of
     (P, S, C) color amplitudes, sampling each at the (P, K) times taus,
     the last one its duration; returns the (P, K, d) last-segment samples.
 
-    Every color flips one spin, so H = [[0, B], [B_dag, 0]] on the even
-    and odd sectors, B = sum_c amp_c raise_c + conj(amp_c) lower_c, scattered
-    from the `_parity_blocks` entries: assigned when their positions are
-    distinct, summed in entry order when an (ion, sideband) pair repeats.
-    With B = U S V_dag, one stacked SVD per segment serves every state and
-    time:
-    exp(-iHt) = [[U cos(St) U_dag, -i U sin(St) V_dag],
-                 [-i V sin(St) U_dag, V cos(St) V_dag]].
+    Every color flips one spin, so H = [[0, B], [B_dag, 0]] on the m even
+    and n odd states, B = sum_c amp_c raise_c + conj(amp_c) lower_c
+    (`_segment_block`).  B and the times are scaled by one exact power of
+    two, B's largest entry into [0.5, 1), so that B B_dag neither
+    overflows nor underflows.  With B B_dag = U S^2 U_dag, one stacked
+    `eigh` per segment serves every state and time, V never formed and
+    m, n of any sizes:
+    psi_even' = U cos(St) U_dag psi_even - i U f U_dag B psi_odd,
+    psi_odd' = psi_odd - B_dag U (2 g g U_dag B psi_odd + i f U_dag psi_even),
+    f = sin(St) / S and g = sin(St/2) / S, entire in S^2 (t and t/2 at
+    S = 0), so no 1/S and no square of t appears.  With a gauge
+    (`_parity_blocks`), each segment runs in the turned frame: the states
+    are multiplied by D_alpha_dag, D_alpha = diag(e^{i alpha}), B is
+    replaced by the real R = D_alpha_dag B D_alpha, so that U comes from
+    the real `eigh` of R R^T, and the samples are turned back; without one,
+    B and its `eigh` stay complex.  A failed `eigh` raises LinAlgError; a
+    sample past double range comes out non-finite.
     """
     coeff = np.concatenate([amp, amp.conj()], axis=2)
     taken = np.zeros(len(even) * len(odd), dtype=bool)
     taken[flat] = True
     distinct = np.count_nonzero(taken) == len(flat)
+    if gauge is not None:
+        # e^{i alpha} of each state in each segment, (P, S, sector, 1)
+        turn = np.exp(1j * (np.angle(amp) @ gauge[:-1] + gauge[-1]))[..., None]
+        turns_even, turns_odd = turn[:, :, even], turn[:, :, odd]
     # column vectors per state, (P, sector, K)
     psi_even, psi_odd = psi[..., even, None], psi[..., odd, None]
     for s in range(coeff.shape[1]):
-        b = np.zeros((len(coeff), len(even) * len(odd)), dtype=complex)
-        if distinct:
-            # + 0.0 turns -0.0 into +0.0, as adding into the zeros would
-            b[:, flat] = coeff[:, s, column] * value + 0.0
-        else:
-            np.add.at(b, (slice(None), flat), coeff[:, s, column] * value)
-        u, sigma, vh = np.linalg.svd(b.reshape(-1, len(even), len(odd)))
-        theta = sigma[..., None] * taus[:, None, :]
-        cos, sin = np.cos(theta), np.sin(theta)
-        a, c = u.conj().swapaxes(1, 2) @ psi_even[..., -1:], vh @ psi_odd[..., -1:]
-        psi_even = u @ (cos * a - 1j * sin * c)
-        psi_odd = vh.conj().swapaxes(1, 2) @ (cos * c - 1j * sin * a)
+        b = _segment_block(flat, column, value, coeff[:, s], (len(even), len(odd)), distinct)
+        start_even, start_odd = psi_even[..., -1:], psi_odd[..., -1:]
+        if gauge is not None:
+            turn_even, turn_odd = turns_even[:, s], turns_odd[:, s]
+            b = (turn_even.conj() * b * turn_odd.swapaxes(1, 2)).real
+            start_even, start_odd = turn_even.conj() * start_even, turn_odd.conj() * start_odd
+        scale = np.frexp(np.abs(b).max(axis=(1, 2), initial=0.0))[1]
+        b = np.ldexp(b.view(float), -scale[:, None, None]).view(b.dtype)
+        tau = np.ldexp(taus, scale[:, None])[:, None, :]
+        b_dag = b.conj().swapaxes(1, 2)
+        lam, u = np.linalg.eigh(b @ b_dag)
+        sigma = np.sqrt(np.maximum(lam, 0.0))[..., None]
+        theta = sigma * tau
+        moving = sigma > 0
+        divisor = np.where(moving, sigma, 1.0)
+        f = np.where(moving, np.sin(theta) / divisor, tau)
+        g = np.where(moving, np.sin(0.5 * theta) / divisor, 0.5 * tau)
+        u_dag = u.conj().swapaxes(1, 2)
+        x, y = u_dag @ start_even, u_dag @ (b @ start_odd)
+        psi_even = u @ (np.cos(theta) * x - 1j * f * y)
+        psi_odd = start_odd - b_dag @ (u @ (2 * g * (g * y) + 1j * f * x))
+        if gauge is not None:
+            psi_even, psi_odd = turn_even * psi_even, turn_odd * psi_odd
     out = np.empty(psi_even.shape[:-2] + (taus.shape[1], len(even) + len(odd)), dtype=complex)
     out[..., even], out[..., odd] = psi_even.swapaxes(-1, -2), psi_odd.swapaxes(-1, -2)
     return out

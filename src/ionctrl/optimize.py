@@ -195,8 +195,9 @@ def _vector_to_params(x: np.ndarray, n_seg: int, n_colors: int) -> PulseParams:
 
 
 # Bytes of one stacked (rows, k/2, k/2) block the population scorer holds
-# at a time, k the states it propagates; its SVD factors and workspace take
-# about three times as much again.  Larger populations are scored in row chunks.
+# at a time, k the states it propagates (a union's m x n block is no larger);
+# its gauge-turned copy, B B_dag, the eigenvectors and their workspace take a
+# few times as much again.  Larger populations are scored in row chunks.
 _CHUNK_BYTES = 64 * 2**20
 
 # Largest 2-norm by which cutting the initial state's component loose may
@@ -214,10 +215,10 @@ def _component_blocks(model: SystemModel, colors, initial: np.ndarray, max_area:
     bound max_area * ||dB||_F <= _CUT_TOL holds, dB the cut entries summed
     by magnitude per position: then no pulse of amplitudes up to omega_max
     and total duration up to t_max, max_area = omega_max * t_max, moves a
-    final state by more than _CUT_TOL.  Where the bound fails, the
-    threshold leaves double range, the union is the whole basis, or its
-    even and odd sectors differ in size (the propagator's blocks are
-    square), the whole basis's blocks come back."""
+    final state by more than _CUT_TOL.  The union's even and odd sectors
+    may differ in size, and its gauge is the whole basis's, sliced to the
+    union.  Where the bound fails, the threshold leaves double range, or
+    the union is the whole basis, the whole basis's blocks come back."""
     sectors = _parity_blocks(model, colors)
     whole = sectors, np.arange(model.basis.dimension)
     threshold = _CUT_TOL / max_area
@@ -228,20 +229,20 @@ def _component_blocks(model: SystemModel, colors, initial: np.ndarray, max_area:
     states = sorted(set().union(*(c for c in connected_components(graph) if c & support)))
     inside = np.zeros(model.basis.dimension, dtype=bool)
     inside[states] = True
-    even, odd, flat, column, value = sectors
+    even, odd, flat, column, value, gauge = sectors
     row, col = np.divmod(flat, len(odd))
     in_even, in_odd = inside[even], inside[odd]
     cut = in_even[row] != in_odd[col]
     cut_norm = np.linalg.norm(np.bincount(flat[cut], np.abs(value[cut])))
-    square = np.count_nonzero(in_even) == np.count_nonzero(in_odd)
-    if inside.all() or not square or not max_area * cut_norm <= _CUT_TOL:
+    if inside.all() or not max_area * cut_norm <= _CUT_TOL:
         return whole
     kept = in_even[row] & in_odd[col]
     # positions within the union's own even and odd sectors, and its basis indices
     pos_even, pos_odd = np.cumsum(in_even) - 1, np.cumsum(in_odd) - 1
     index = np.cumsum(inside) - 1
     sub_flat = pos_even[row[kept]] * np.count_nonzero(in_odd) + pos_odd[col[kept]]
-    sub = (index[even[in_even]], index[odd[in_odd]], sub_flat, column[kept], value[kept])
+    sub_gauge = None if gauge is None else gauge[:, states]
+    sub = (index[even[in_even]], index[odd[in_odd]], sub_flat, column[kept], value[kept], sub_gauge)
     return sub, np.array(states)
 
 
@@ -256,9 +257,13 @@ def _population_scorer(
     `_component_blocks` finds (the whole basis where it cuts nothing), so
     each final state is within 1e-13 of the whole basis's, and scattered
     back to the basis before scoring.  They go through `_parity_propagate`
-    in chunks that fit _CHUNK_BYTES, on parity-block entries gathered once;
-    a row whose final state is not finite and normalized scores -inf with
-    a warning."""
+    in chunks that fit _CHUNK_BYTES, on parity-block entries and a phase
+    gauge gathered once, so that each segment's blocks B are factored by
+    one stacked `eigh` of B B_dag, a real one where the colors' moves are
+    linearly independent (the Bell problem's are).  Where a chunk's `eigh`
+    fails, its rows are scored one by one, and a row whose own `eigh`
+    fails scores -inf with a warning; so does a row whose final state is
+    not finite and normalized, without a numpy warning on the way."""
     initial = np.asarray(objective.initial, dtype=complex)
     sectors, states = _component_blocks(model, colors, initial, max_area)
     d = model.basis.dimension
@@ -270,7 +275,9 @@ def _population_scorer(
             return np.concatenate([score(x[i : i + rows]) for i in range(0, len(x), rows)])
         amp = (x[:, :block] * np.exp(1j * x[:, block : 2 * block])).reshape(-1, n_seg, len(colors))
         try:
-            psi = _parity_propagate(*sectors, amp, x[:, -1, None] / n_seg, initial[states])[:, -1]
+            # a final state past double range is discarded below, not warned of
+            with np.errstate(over="ignore", invalid="ignore"):
+                psi = _parity_propagate(*sectors, amp, x[:, -1, None] / n_seg, initial[states])[:, -1]
         except np.linalg.LinAlgError as exc:
             if len(x) > 1:
                 return np.concatenate([score(row[None]) for row in x])
@@ -321,7 +328,7 @@ def optimize(
     n_seg, n_colors = search.segments, len(colors)
     block = n_seg * n_colors
     dim = 2 * block + 1
-    t_floor = 1e-6 * search.t_max
+    t_floor = 0.05 * search.t_max
 
     lower = np.concatenate([np.zeros(block), np.zeros(block), [t_floor]])
     upper = np.concatenate(

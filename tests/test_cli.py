@@ -115,7 +115,7 @@ def test_two_ion_closed_evolve_peak_memory(tmp_path):
     """A two-ion, three-color evolve with its closed-subspace population at
     cutoff 256 (d = 1024) peaks below one and a half dense d x d
     operators: the resonant couplings are index maps, and the propagator
-    holds only the half-size block it factors and its SVD factors."""
+    holds only the half-size block, its Gram product and eigenvectors."""
     scn = write(
         tmp_path,
         "evolve.yaml",
@@ -776,6 +776,7 @@ output: {tmp_path}/e
     assert list(tmp_path.glob("e_*")) == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "mutation, code",
     [("", 0), (", mutation_scale: 0.0, mutation_floor: 0.0", 2)],
@@ -787,7 +788,8 @@ def test_search_past_double_range_keeps_its_finite_best_or_exits_2(
     """Pulse areas past double range leave no finite final state, so such
     candidates score -inf, and a stack of them alone is not scored.  A child
     whose amplitude is clipped to 0 keeps |dd,0>, which scores 0.5; where no
-    child moves, every candidate is discarded and the run is refused."""
+    child moves, every candidate is discarded and the run is refused.  The
+    discards are logged; numpy warns of no overflow on the way."""
     scn = write(
         tmp_path,
         "huge.yaml",

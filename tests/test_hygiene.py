@@ -125,9 +125,10 @@ def test_private_names_are_used():
 
 
 def test_one_call_site_per_decomposition():
-    """`np.linalg.eigh`, `eigvalsh`, `svd` and `qr` are each called in
-    exactly one place: the Hermitian exponential, the Laguerre zeros, the
-    resonant parity-block propagator and the Lie sweep's complement."""
+    """`np.linalg.eigh` is called in the Hermitian exponential and the
+    resonant parity-block propagator, `eigvalsh` and `qr` each in exactly
+    one place, the Laguerre zeros and the Lie sweep's complement, and
+    nothing calls `svd`."""
     sites = {"eigh": [], "eigvalsh": [], "svd": [], "qr": []}
     for name in MODULES:
         for top in parse(name).body:
@@ -141,9 +142,9 @@ def test_one_call_site_per_decomposition():
                 ):
                     sites[func.attr].append(f"{name}.{getattr(top, 'name', '<module>')}")
     assert sites == {
-        "eigh": ["fock._evolve"],
+        "eigh": ["dynamics._parity_propagate", "fock._evolve"],
         "eigvalsh": ["laguerre.laguerre_zeros"],
-        "svd": ["dynamics._parity_propagate"],
+        "svd": [],
         "qr": ["liealg.dynamical_lie_algebra"],
     }
 

@@ -4,7 +4,7 @@ references written here.
 Over one- and two-ion LDL and exact models (eta zero, a Laguerre zero or
 generic) and random colors, one (ion, sideband) always repeated: the
 propagator's parity-block entries scatter into the slices of dense
-raising operators built entry by entry, the block it factors is their
+raising operators built entry by entry, the block it assembles is their
 amplitude-weighted sum, and the coupling graph equals the
 above-threshold scan of the dense Hermitian controls.
 """
@@ -27,6 +27,7 @@ from ionctrl import (
     coupling_strength,
     laguerre_zeros,
 )
+from ionctrl import dynamics
 from ionctrl.dynamics import _parity_blocks, _parity_propagate
 from ionctrl.model import PHONON_SHIFT
 
@@ -80,14 +81,17 @@ def dense_raising(model, color):
 
 
 def factored_block(model, colors):
-    """The odd -> even block B that `_parity_propagate` hands to the SVD
-    for one segment of the colors, and the amplitudes it was built from."""
+    """The odd -> even block B that `_parity_propagate` assembles for one
+    segment of the colors, before its gauge and scale, and the amplitudes
+    it was built from."""
     amp = np.array([[[c.rabi * np.exp(1j * c.phase) for c in colors]]])
     psi = np.zeros(model.basis.dimension, dtype=complex)
     psi[0] = 1.0
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+    blocks, segment_block = [], dynamics._segment_block
+    capture = lambda *a: blocks.append(segment_block(*a)) or blocks[-1]  # noqa: E731
+    with mock.patch.object(dynamics, "_segment_block", capture):
         _parity_propagate(*_parity_blocks(model, colors), amp, np.ones((1, 1)), psi)
-    (b,), _ = svd.call_args
+    (b,) = blocks
     return b[0], np.concatenate([amp[0, 0], amp[0, 0].conj()])
 
 
@@ -107,7 +111,7 @@ def test_parity_blocks_are_dense_slices(data):
         )
 
     expected = expected_blocks(drawn)
-    got_even, got_odd, flat, column, value = _parity_blocks(model, drawn)
+    got_even, got_odd, flat, column, value, _ = _parity_blocks(model, drawn)
     assert np.array_equal(got_even, even) and np.array_equal(got_odd, odd)
     assert flat.shape == column.shape == value.shape
     for col, block in enumerate(expected):

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,9 @@ from ionctrl import (
 )
 
 ROOT_BLUE = laguerre_zeros(6, 1)[0]
+
+# the package's `optimize` attribute is the search function, not this module
+optimize_module = importlib.import_module("ionctrl.optimize")
 
 
 def one_ion(eta, cutoff, ldl=False):
@@ -258,3 +263,40 @@ class TestOptimize:
             SearchConfig(omega_max=1.0, t_max=1.0, segments=9)
         with pytest.raises(ValueError):
             SearchConfig(omega_max=1.0, t_max=1.0, elite=32, population=32)
+
+
+def test_search_outcome_survives_score_noise(monkeypatch):
+    """The optimize_bell search (seed 1, 300 generations) returns the same
+    history and pulse when every score carries seeded noise of 1e-14: the
+    outcome does not hang on the last bits of the scorer.  Near a
+    zero-duration floor the initial state's 0.5 makes a plateau whose ranks
+    are decided by rounding; the floor at 0.05 t_max lifts the search off it."""
+    model = SystemModel(
+        trap=TrapConfig(1.0, np.sqrt(ROOT_BLUE), (1.0, 1.0)),
+        ions=(IonConfig(), IonConfig()),
+        basis=two_ion_basis(8),
+    )
+    colors = [FieldColor(0, "blue"), FieldColor(1, "blue"), FieldColor(0, "carrier")]
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    objective = Objective("spin_fidelity", bell, basis_vec(model.basis, (0, 0), 0))
+    search = SearchConfig(omega_max=0.2, t_max=200.0, segments=4, generations=300, restart_after=60)
+    params, score, history = optimize(model, colors, objective, search, seed=1)
+
+    scorer, noise = optimize_module._population_scorer, np.random.default_rng(12345)
+
+    def noisy_scorer(*args):
+        score_rows = scorer(*args)
+        return lambda x: score_rows(x) + 1e-14 * noise.standard_normal(len(x))
+
+    monkeypatch.setattr(optimize_module, "_population_scorer", noisy_scorer)
+    noisy_params, noisy_score, noisy_history = optimize(model, colors, objective, search, seed=1)
+    assert len(noisy_history) == len(history)
+    for a, b in zip(history, noisy_history):
+        assert abs(a.best_score - b.best_score) <= 1e-12, a.generation
+        assert abs(a.mean_score - b.mean_score) <= 1e-12, a.generation
+    assert abs(noisy_score - score) <= 1e-12
+    got, want = (
+        np.concatenate([np.ravel(p.amplitudes), np.ravel(p.phases), [p.duration]])
+        for p in (noisy_params, params)
+    )
+    assert np.max(np.abs(got - want)) <= 1e-9

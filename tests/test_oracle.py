@@ -1,6 +1,6 @@
 """The time-dependent oracle against a dense per-step reference written
 here, its memory bound, its dt checks, and the parity block B that the
-resonant propagator factors against an unbuffered scatter-add.
+resonant propagator assembles against an unbuffered scatter-add.
 """
 
 import math
@@ -173,18 +173,24 @@ def test_rejects_dt_outside_the_rule(dt):
 def test_parity_block_bytes_match_scatter_add(colors):
     model = model_of(2, 8)
     sectors = _parity_blocks(model, colors)
-    even, odd, flat, column, value = sectors
+    even, odd, flat, column, value, _ = sectors
     rng = np.random.default_rng(7)
     amp = np.array([c.rabi * np.exp(1j * c.phase) for c in colors])[None, None] * np.ones((5, 2, 1))
     amp[2:] *= rng.uniform(0.5, 2.0, (3, 2, len(colors))) * np.exp(1j * rng.uniform(0, 7, (3, 2, len(colors))))
     coeff = np.concatenate([amp, amp.conj()], axis=2)
-    with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+    blocks, segment_block = [], dynamics._segment_block
+    capture = lambda *a: blocks.append(segment_block(*a)) or blocks[-1]  # noqa: E731
+    with (
+        mock.patch.object(dynamics, "_segment_block", capture),
+        mock.patch.object(np.linalg, "eigh", wraps=np.linalg.eigh) as eigh,
+    ):
         _parity_propagate(*sectors, amp, np.ones((5, 1)), ground(model))
-    assert svd.call_count == 2
-    for s, call in enumerate(svd.call_args_list):
+    # one eigensolve per segment
+    assert len(blocks) == eigh.call_count == 2
+    for s, block in enumerate(blocks):
         expected = np.zeros((len(amp), len(even) * len(odd)), dtype=complex)
         np.add.at(expected, (slice(None), flat), coeff[:, s, column] * value)
-        assert call.args[0].tobytes() == expected.reshape(-1, len(even), len(odd)).tobytes()
+        assert block.tobytes() == expected.reshape(-1, len(even), len(odd)).tobytes()
 
 
 def row_sum_reference(model, schedule, psi0, dt):
